@@ -11,8 +11,10 @@
 //   * termination: Safra's token-ring detection (the paper's reference code
 //     uses token-passing termination), followed by a DONE ring.
 //
-// The total node count must equal the sequential traversal — UTS's whole
-// point. Run: ./uts_hcmpi [--ranks=4] [--workers=2] [--gen_mx=7] [--chunk=16]
+// The total node count, summed over the wire, must equal the sequential
+// traversal — UTS's whole point — on every process of the job.
+// Run: ./uts_hcmpi [--ranks=4] [--workers=2] [--gen_mx=7] [--chunk=16]
+//      (or under tools/hcmpi_launch -n N, one rank block per process)
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -63,7 +65,10 @@ struct RankState {
   std::atomic<bool> holding_token{false};
   SafraToken held_token{};
 
-  // Outstanding internal receives, cancelled at shutdown.
+  // Outstanding internal receives, cancelled at shutdown. req_mu orders
+  // arming one against announce_done: a receive armed after the cancels
+  // would never complete, and the rank's finish would never drain.
+  std::mutex req_mu;
   hcmpi::RequestHandle token_req;
   hcmpi::RequestHandle done_req;
   hcmpi::RequestHandle thief_reply_req;
@@ -144,10 +149,17 @@ void try_global_steal(RankState& st) {
   if (victim >= st.ctx.rank()) ++victim;
   st.steal_msg_out = st.ctx.rank();
   st.reply_buf.resize(std::size_t(st.chunk));
-  hcmpi::RequestHandle reply = st.ctx.irecv(
-      st.reply_buf.data(), st.reply_buf.size() * sizeof(uts::Node), victim,
-      kReplyTag);
-  st.thief_reply_req = reply;
+  hcmpi::RequestHandle reply;
+  {
+    std::lock_guard<std::mutex> lk(st.req_mu);
+    if (st.done.load()) {
+      st.thief_outstanding.store(false);
+      return;
+    }
+    reply = st.thief_reply_req = st.ctx.irecv(
+        st.reply_buf.data(), st.reply_buf.size() * sizeof(uts::Node), victim,
+        kReplyTag);
+  }
   st.ctx.isend(&st.steal_msg_out, sizeof st.steal_msg_out, victim,
                kStealTag);
   hc::async_await({reply.get()}, [&st, reply] {
@@ -222,7 +234,14 @@ void forward_token(RankState& st, SafraToken tok) {
 }
 
 void announce_done(RankState& st) {
-  st.done.store(true);
+  hcmpi::RequestHandle pending[3];
+  {
+    std::lock_guard<std::mutex> lk(st.req_mu);
+    st.done.store(true);
+    pending[0] = st.token_req;
+    pending[1] = st.done_req;
+    pending[2] = st.thief_reply_req;
+  }
   if (st.ctx.rank() + 1 < st.ctx.size()) {
     st.ctx.isend(&st.done_out, sizeof st.done_out, st.ctx.rank() + 1,
                  kDoneTag);
@@ -230,9 +249,10 @@ void announce_done(RankState& st) {
   // Tear down the persistent receives so the enclosing finish can drain.
   // A thief conversation can be mid-flight here: its victim may already
   // have shut its listener down, so the reply will never come — cancel it.
-  if (st.token_req) st.ctx.cancel(st.token_req);
-  if (st.done_req) st.ctx.cancel(st.done_req);
-  if (st.thief_reply_req) st.ctx.cancel(st.thief_reply_req);
+  // (cancel helps run tasks while it waits, so not under req_mu.)
+  for (const hcmpi::RequestHandle& r : pending) {
+    if (r) st.ctx.cancel(r);
+  }
 }
 
 void maybe_forward_token(RankState& st) {
@@ -256,12 +276,15 @@ void maybe_forward_token(RankState& st) {
 }
 
 void arm_token_handler(RankState& st) {
-  if (st.done.load()) return;
-  st.token_req =
-      st.ctx.irecv(&st.token_buf, sizeof(SafraToken),
-                   (st.ctx.rank() - 1 + st.ctx.size()) % st.ctx.size(),
-                   kTokenTag);
-  hcmpi::RequestHandle req = st.token_req;
+  hcmpi::RequestHandle req;
+  {
+    std::lock_guard<std::mutex> lk(st.req_mu);
+    if (st.done.load()) return;
+    req = st.token_req =
+        st.ctx.irecv(&st.token_buf, sizeof(SafraToken),
+                     (st.ctx.rank() - 1 + st.ctx.size()) % st.ctx.size(),
+                     kTokenTag);
+  }
   hc::async_await({req.get()}, [&st, req] {
     if (req->get().cancelled || st.done.load()) return;
     st.held_token = st.token_buf;
@@ -300,7 +323,10 @@ int main(int argc, char** argv) {
 
   uts::CountResult seq = uts::count_sequential(params);
 
+  // Filled for the ranks this process hosts; the total comes over the wire.
   std::vector<std::uint64_t> explored_per_rank(std::size_t(ranks), 0);
+  std::vector<char> hosted(std::size_t(ranks), 0);
+  std::atomic<std::uint64_t> total{0};
   smpi::World::run(ranks, [&](smpi::Comm& comm) {
     hcmpi::Context ctx(comm, {.num_workers = workers});
     RankState st(ctx, params, chunk);
@@ -323,20 +349,24 @@ int main(int argc, char** argv) {
           hc::async([&st] { maybe_forward_token(st); });
         }
       });
+      long mine = long(st.explored.load()), sum = 0;
+      ctx.allreduce(&mine, &sum, 1, hcmpi::Datatype::kLong, hcmpi::Op::kSum);
+      total.store(std::uint64_t(sum));
     });
     explored_per_rank[std::size_t(ctx.rank())] = st.explored.load();
+    hosted[std::size_t(ctx.rank())] = 1;
   });
 
-  std::uint64_t total = 0;
-  for (std::uint64_t e : explored_per_rank) total += e;
+  const bool match = total.load() == seq.nodes;
   std::printf("uts_hcmpi: %s\n", params.name().c_str());
   std::printf("  sequential: %llu nodes\n", (unsigned long long)seq.nodes);
   std::printf("  distributed: %llu nodes over %d ranks x %d workers -> %s\n",
-              (unsigned long long)total, ranks, workers,
-              total == seq.nodes ? "MATCH" : "MISMATCH");
+              (unsigned long long)total.load(), ranks, workers,
+              match ? "MATCH" : "MISMATCH");
   for (int r = 0; r < ranks; ++r) {
+    if (!hosted[std::size_t(r)]) continue;
     std::printf("    rank %d explored %llu\n", r,
                 (unsigned long long)explored_per_rank[std::size_t(r)]);
   }
-  return total == seq.nodes ? 0 : 1;
+  return match ? 0 : 1;
 }

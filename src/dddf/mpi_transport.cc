@@ -9,8 +9,9 @@
 namespace dddf {
 
 namespace {
-// Tags in the system communicator's space; hcmpi's non-blocking collective
-// scripts use tags < 100, so the DDDF protocol lives at 1000+.
+// Tags in the system communicator's point-to-point context. Collectives on
+// that communicator run in its private collective context, so these never
+// match collective traffic.
 constexpr int kTagRegister = 1000;
 constexpr int kTagData = 1001;
 // Barrier-arrival announcement: lets a deadlined finalize_barrier name the

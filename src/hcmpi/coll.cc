@@ -1,73 +1,75 @@
-// Blocking HCMPI collectives (paper §II-C): the computation task prescribes
-// a communication task and blocks until the communication worker has run the
-// collective. Collectives execute in FIFO order per rank.
+// HCMPI collectives (paper §II-C): the computation task builds the smpi step
+// script and prescribes it as one communication task; the communication
+// worker steps it between its point-to-point polls. Collectives execute in
+// FIFO order per rank.
 #include "hcmpi/context.h"
 
 namespace hcmpi {
 
-void Context::run_blocking_collective(CommKind kind, const void* in,
-                                      void* out, std::size_t count_or_bytes,
-                                      Datatype t, Op op, int root) {
+RequestHandle Context::submit_collective(smpi::CollScript script) {
+  auto req = std::make_shared<RequestImpl>();
+  CommTask* t = allocate_task();
+  t->kind = CommKind::kCollective;
+  t->script = std::make_unique<smpi::CollScript>(std::move(script));
+  t->request = req;
+  t->finish = nullptr;
+  // Linked like p2p requests so a deadlined finalize barrier is cancellable
+  // (Transport::finalize_barrier timeout; see the kCancel path).
+  req->task.store(t, std::memory_order_release);
+  req->task_gen.store(t->gen.load(std::memory_order_acquire),
+                      std::memory_order_release);
+  submit(t);
+  return req;
+}
+
+void Context::wait_collective(smpi::CollScript script) {
   // A blocking collective issued on the communication worker would block
   // the only thread able to execute it.
   hc::check::on_blocking_call("blocking collective");
-  auto req = std::make_shared<RequestImpl>();
-  CommTask* task = allocate_task();
-  task->kind = kind;
-  task->coll_in = in;
-  task->coll_out = out;
-  if (kind == CommKind::kBcast || kind == CommKind::kGather ||
-      kind == CommKind::kScatter) {
-    task->bytes = count_or_bytes;
-  } else {
-    task->count = count_or_bytes;
-  }
-  task->dtype = t;
-  task->op = op;
-  task->root = root;
-  task->request = req;
-  task->finish = nullptr;  // the caller blocks; no finish accounting needed
-  submit(task);
   // Block without helping: executing arbitrary stolen tasks here could run
   // another collective call and scramble the per-rank collective order.
-  block_until(req);
+  block_until(submit_collective(std::move(script)));
 }
 
-void Context::barrier() {
-  run_blocking_collective(CommKind::kBarrier, nullptr, nullptr, 0,
-                          Datatype::kByte, Op::kSum, 0);
+RequestHandle Context::submit_nb_barrier() {
+  return submit_collective(sys_comm_.barrier_script());
 }
+
+RequestHandle Context::submit_nb_allreduce(const void* in, void* out,
+                                           std::size_t count, Datatype dt,
+                                           Op op) {
+  return submit_collective(sys_comm_.allreduce_script(in, out, count, dt, op));
+}
+
+void Context::barrier() { wait_collective(comm_.barrier_script()); }
 
 void Context::bcast(void* buf, std::size_t bytes, int root) {
-  run_blocking_collective(CommKind::kBcast, nullptr, buf, bytes,
-                          Datatype::kByte, Op::kSum, root);
+  wait_collective(comm_.bcast_script(buf, bytes, root));
 }
 
 void Context::reduce(const void* in, void* out, std::size_t count, Datatype t,
                      Op op, int root) {
-  run_blocking_collective(CommKind::kReduce, in, out, count, t, op, root);
+  wait_collective(comm_.reduce_script(in, out, count, t, op, root));
 }
 
 void Context::allreduce(const void* in, void* out, std::size_t count,
                         Datatype t, Op op) {
-  run_blocking_collective(CommKind::kAllreduce, in, out, count, t, op, 0);
+  wait_collective(comm_.allreduce_script(in, out, count, t, op));
 }
 
 void Context::scan(const void* in, void* out, std::size_t count, Datatype t,
                    Op op) {
-  run_blocking_collective(CommKind::kScan, in, out, count, t, op, 0);
+  wait_collective(comm_.scan_script(in, out, count, t, op));
 }
 
 void Context::gather(const void* send, std::size_t bytes_per_rank, void* recv,
                      int root) {
-  run_blocking_collective(CommKind::kGather, send, recv, bytes_per_rank,
-                          Datatype::kByte, Op::kSum, root);
+  wait_collective(comm_.gather_script(send, bytes_per_rank, recv, root));
 }
 
 void Context::scatter(const void* send, std::size_t bytes_per_rank,
                       void* recv, int root) {
-  run_blocking_collective(CommKind::kScatter, send, recv, bytes_per_rank,
-                          Datatype::kByte, Op::kSum, root);
+  wait_collective(comm_.scatter_script(send, bytes_per_rank, recv, root));
 }
 
 }  // namespace hcmpi

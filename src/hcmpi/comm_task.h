@@ -5,8 +5,8 @@
 // A computation worker allocates a task (recycling from the AVAILABLE pool
 // when possible), fills in the operation (PRESCRIBED) and enqueues it on the
 // communication worker's lock-free worklist. The communication worker issues
-// the underlying smpi operation (ACTIVE for asynchronous point-to-point,
-// blocking execution for collectives), completes it (COMPLETED: status is
+// the underlying smpi operation (ACTIVE: a point-to-point request it polls,
+// or a collective script it steps), completes it (COMPLETED: status is
 // DDF_PUT onto the HCMPI request, the enclosing finish scope is released)
 // and recycles the slot (AVAILABLE, generation bumped so stale cancel
 // handles can never touch a reused slot).
@@ -33,20 +33,10 @@ enum class CommKind : std::uint8_t {
   kIsend,
   kIrecv,
   kCancel,
-  // Collectives execute in FIFO order on the communication worker (MPI's
-  // one-collective-at-a-time-per-communicator rule).
-  kBarrier,
-  kBcast,
-  kReduce,
-  kAllreduce,
-  kScan,
-  kGather,
-  kScatter,
-  // Script-driven non-blocking collectives: the communication worker makes
-  // progress on them between p2p polls instead of blocking. Used by the
-  // hcmpi-phaser bridge (fuzzy barriers must overlap) and DDDF termination.
-  kNbBarrier,
-  kNbAllreduce,
+  // Any collective: the task owns its smpi script, which the communication
+  // worker steps between p2p polls, in FIFO order (MPI's one-collective-at-
+  // a-time-per-communicator rule).
+  kCollective,
   // Arbitrary closure executed on the communication worker with the system
   // communicator (the DDDF transport hooks in through this).
   kExec,
@@ -58,15 +48,7 @@ inline const char* kind_name(CommKind k) {
     case CommKind::kIsend: return "isend";
     case CommKind::kIrecv: return "irecv";
     case CommKind::kCancel: return "cancel";
-    case CommKind::kBarrier: return "barrier";
-    case CommKind::kBcast: return "bcast";
-    case CommKind::kReduce: return "reduce";
-    case CommKind::kAllreduce: return "allreduce";
-    case CommKind::kScan: return "scan";
-    case CommKind::kGather: return "gather";
-    case CommKind::kScatter: return "scatter";
-    case CommKind::kNbBarrier: return "nb_barrier";
-    case CommKind::kNbAllreduce: return "nb_allreduce";
+    case CommKind::kCollective: return "collective";
     case CommKind::kExec: return "exec";
     case CommKind::kShutdown: return "shutdown";
   }
@@ -149,11 +131,6 @@ class RequestImpl : public hc::Ddf<Status> {
 
 using RequestHandle = std::shared_ptr<RequestImpl>;
 
-struct NbScript;  // defined in comm_worker.cc
-struct NbScriptDeleter {
-  void operator()(NbScript* s) const;  // defined in comm_worker.cc
-};
-
 struct CommTask {
   std::atomic<CommTaskState> state{CommTaskState::kAllocated};
   std::atomic<std::uint64_t> gen{0};
@@ -182,13 +159,9 @@ struct CommTask {
   int tag = smpi::kAnyTag;
   smpi::Request sreq;
 
-  // Collectives.
-  const void* coll_in = nullptr;
-  void* coll_out = nullptr;
-  std::size_t count = 0;
-  smpi::Datatype dtype = smpi::Datatype::kByte;
-  smpi::Op op = smpi::Op::kSum;
-  int root = 0;
+  // Collective: built by the submitter, stepped by the communication worker.
+  // Held out of line so the point-to-point tasks stay small.
+  std::unique_ptr<smpi::CollScript> script;
 
   // Cancel command.
   CommTask* target = nullptr;
@@ -200,10 +173,6 @@ struct CommTask {
   // Completion plumbing.
   RequestHandle request;            // status lands here (may be null)
   hc::FinishScope* finish = nullptr;  // inc'd at creation, dec'd on completion
-
-  // Live only while a kNb* op progresses. Custom deleter keeps NbScript an
-  // implementation detail of the communication worker.
-  std::unique_ptr<NbScript, NbScriptDeleter> script;
 };
 
 // The single sanctioned way to move a communication task through its

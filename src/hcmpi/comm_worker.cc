@@ -1,12 +1,12 @@
 // The dedicated communication worker (paper Fig. 10): drains the lock-free
 // worklist, issues smpi operations, polls ACTIVE requests with test (the
-// paper's MPI_Test loop), makes progress on script-based non-blocking
-// collectives, and runs the DDDF poller — all on one thread, so the
-// substrate operates at MPI_THREAD_SINGLE no matter how many computation
-// workers are active.
+// paper's MPI_Test loop), steps the head collective's script, and runs the
+// DDDF poller — all on one thread, so the substrate operates at
+// MPI_THREAD_SINGLE no matter how many computation workers are active. It
+// never blocks: a collective waiting on a slow peer is one non-blocking
+// step per loop turn.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <thread>
 #include <vector>
@@ -16,165 +16,6 @@
 #include "prof/prof.h"
 
 namespace hcmpi {
-
-// ---------------------------------------------------------------------------
-// Script-based non-blocking collectives.
-//
-// Each rank's half of a collective is a straight-line "script" of steps
-// (send, recv+combine, recv-overwrite); the communication worker advances
-// the script whenever the pending receive tests complete. Collectives are
-// strictly FIFO per rank, so a fixed tag per step class is unambiguous
-// (matching is FIFO per (source, tag, context) channel).
-// ---------------------------------------------------------------------------
-
-namespace {
-constexpr int kTagNbBarrier = 16;  // +round
-constexpr int kTagNbReduce = 80;
-constexpr int kTagNbBcast = 81;
-}  // namespace
-
-struct NbStep {
-  enum class K : std::uint8_t { kSendAcc, kRecvCombine, kRecvAcc };
-  K kind;
-  int peer;
-  int tag;
-};
-
-struct NbScript {
-  std::vector<NbStep> steps;
-  std::size_t pc = 0;
-  std::vector<std::uint8_t> acc, scratch;
-  smpi::Request pending;
-  smpi::Datatype dtype = smpi::Datatype::kByte;
-  smpi::Op op = smpi::Op::kSum;
-  std::size_t count = 0;
-
-  static NbScript* barrier(const smpi::Comm& c) {
-    auto* s = new NbScript;
-    int p = c.size(), r = c.rank();
-    for (int k = 0, dist = 1; dist < p; ++k, dist <<= 1) {
-      s->steps.push_back({NbStep::K::kSendAcc, (r + dist) % p, kTagNbBarrier + k});
-      s->steps.push_back(
-          {NbStep::K::kRecvAcc, (r - dist % p + p) % p, kTagNbBarrier + k});
-    }
-    return s;
-  }
-
-  static NbScript* allreduce(const smpi::Comm& c, const void* in,
-                             std::size_t count, smpi::Datatype t,
-                             smpi::Op op) {
-    auto* s = new NbScript;
-    s->dtype = t;
-    s->op = op;
-    s->count = count;
-    std::size_t bytes = count * smpi::datatype_size(t);
-    s->acc.resize(bytes);
-    s->scratch.resize(bytes);
-    if (bytes > 0) std::memcpy(s->acc.data(), in, bytes);
-    int p = c.size(), r = c.rank();
-    // Binomial reduce toward rank 0 ...
-    for (int mask = 1; mask < p; mask <<= 1) {
-      if (r & mask) {
-        s->steps.push_back({NbStep::K::kSendAcc, r - mask, kTagNbReduce});
-        break;
-      }
-      if (r + mask < p) {
-        s->steps.push_back({NbStep::K::kRecvCombine, r + mask, kTagNbReduce});
-      }
-    }
-    // ... then binomial bcast from rank 0 (same shape as Comm::bcast).
-    int mask = 1;
-    while (mask < p) {
-      if (r & mask) {
-        s->steps.push_back({NbStep::K::kRecvAcc, r - mask, kTagNbBcast});
-        break;
-      }
-      mask <<= 1;
-    }
-    mask >>= 1;
-    // Masks below a rank's receive mask are clear in its rank id, so the
-    // r+mask < p guard is the only condition needed (same as Comm::bcast).
-    while (mask > 0) {
-      if (r + mask < p) {
-        s->steps.push_back({NbStep::K::kSendAcc, r + mask, kTagNbBcast});
-      }
-      mask >>= 1;
-    }
-    return s;
-  }
-
-  // Advances as far as possible. True when the script has finished.
-  bool step(smpi::Comm& c) {
-    while (pc < steps.size()) {
-      NbStep& st = steps[pc];
-      switch (st.kind) {
-        case NbStep::K::kSendAcc:
-          c.send(acc.data(), acc.size(), st.peer, st.tag);
-          ++pc;
-          break;
-        case NbStep::K::kRecvCombine:
-        case NbStep::K::kRecvAcc: {
-          bool into_acc = st.kind == NbStep::K::kRecvAcc;
-          if (!pending) {
-            pending = c.irecv(into_acc ? acc.data() : scratch.data(),
-                              into_acc ? acc.size() : scratch.size(), st.peer,
-                              st.tag);
-          }
-          if (!c.test(pending)) return false;
-          pending.reset();
-          if (!into_acc && count > 0) {
-            smpi::apply_op(op, dtype, acc.data(), scratch.data(), count);
-          }
-          ++pc;
-          break;
-        }
-      }
-    }
-    return true;
-  }
-
-};
-
-void NbScriptDeleter::operator()(NbScript* s) const { delete s; }
-
-// ---------------------------------------------------------------------------
-// Context pieces that need NbScript's definition.
-// ---------------------------------------------------------------------------
-
-RequestHandle Context::submit_nb_barrier() {
-  auto req = std::make_shared<RequestImpl>();
-  CommTask* t = allocate_task();
-  t->kind = CommKind::kNbBarrier;
-  t->request = req;
-  t->finish = nullptr;
-  // Linked like p2p requests so a deadlined finalize barrier is cancellable
-  // (Transport::finalize_barrier timeout; see the kCancel nb path below).
-  req->task.store(t, std::memory_order_release);
-  req->task_gen.store(t->gen.load(std::memory_order_acquire),
-                      std::memory_order_release);
-  submit(t);
-  return req;
-}
-
-RequestHandle Context::submit_nb_allreduce(const void* in, void* out,
-                                           std::size_t count, Datatype dt,
-                                           Op op) {
-  auto req = std::make_shared<RequestImpl>();
-  CommTask* t = allocate_task();
-  t->kind = CommKind::kNbAllreduce;
-  t->coll_in = in;
-  t->coll_out = out;
-  t->count = count;
-  t->dtype = dt;
-  t->op = op;
-  t->request = req;
-  t->finish = nullptr;
-  req->task.store(t, std::memory_order_release);
-  req->task_gen.store(t->gen.load(std::memory_order_acquire),
-                      std::memory_order_release);
-  submit(t);
-  return req;
-}
 
 void Context::comm_worker_main() {
   hc::Worker* self = runtime_->register_producer();
@@ -334,17 +175,14 @@ void Context::comm_worker_main() {
                 st.error = smpi::ErrorCode::kCancelled;
                 complete_task(target, st);
               }
-            } else if (target->kind == CommKind::kNbBarrier ||
-                       target->kind == CommKind::kNbAllreduce) {
-              // A deadlined finalize barrier must be removable from the
-              // collective queue, or the shutdown drain below waits on the
-              // stuck script forever.
+            } else if (target->kind == CommKind::kCollective) {
+              // A queued collective (a deadlined finalize barrier) must be
+              // removable, or the shutdown drain below waits on its stuck
+              // script forever.
               auto it =
                   std::find(coll_queue.begin(), coll_queue.end(), target);
               if (it != coll_queue.end()) {
-                if (target->script && target->script->pending) {
-                  comm_.cancel(target->script->pending);
-                }
+                comm_.cancel(target->script->pending());
                 coll_queue.erase(it);
                 Status st;
                 st.cancelled = true;
@@ -363,8 +201,7 @@ void Context::comm_worker_main() {
           complete_task(t, st);
           break;
         }
-        default:
-          // Collectives: ordered FIFO execution.
+        case CommKind::kCollective:
           mark_active(t);
           coll_queue.push_back(t);
           break;
@@ -397,74 +234,14 @@ void Context::comm_worker_main() {
       ++i;
     }
 
-    // 3. Progress the head collective.
+    // 3. Step the head collective (FIFO per rank).
     if (!coll_queue.empty()) {
       CommTask* head = coll_queue.front();
-      bool finished = false;
-      switch (head->kind) {
-        case CommKind::kNbBarrier:
-          if (!head->script) head->script.reset(NbScript::barrier(sys_comm_));
-          comm_counters_.coll_script_steps.fetch_add(
-              1, std::memory_order_relaxed);
-          finished = head->script->step(sys_comm_);
-          break;
-        case CommKind::kNbAllreduce:
-          if (!head->script) {
-            head->script.reset(NbScript::allreduce(sys_comm_, head->coll_in,
-                                                   head->count, head->dtype,
-                                                   head->op));
-          }
-          comm_counters_.coll_script_steps.fetch_add(
-              1, std::memory_order_relaxed);
-          finished = head->script->step(sys_comm_);
-          if (finished && head->coll_out != nullptr &&
-              !head->script->acc.empty()) {
-            std::memcpy(head->coll_out, head->script->acc.data(),
-                        head->script->acc.size());
-          }
-          break;
-        case CommKind::kBarrier:
-          comm_.barrier();  // paper: the worker blocks for collective calls
-          finished = true;
-          break;
-        case CommKind::kBcast:
-          comm_.bcast(head->coll_out, head->bytes, head->root);
-          finished = true;
-          break;
-        case CommKind::kReduce:
-          comm_.reduce(head->coll_in, head->coll_out, head->count,
-                       head->dtype, head->op, head->root);
-          finished = true;
-          break;
-        case CommKind::kAllreduce:
-          comm_.allreduce(head->coll_in, head->coll_out, head->count,
-                          head->dtype, head->op);
-          finished = true;
-          break;
-        case CommKind::kScan:
-          comm_.scan(head->coll_in, head->coll_out, head->count, head->dtype,
-                     head->op);
-          finished = true;
-          break;
-        case CommKind::kGather:
-          comm_.gather(head->coll_in, head->bytes, head->coll_out,
-                       head->root);
-          finished = true;
-          break;
-        case CommKind::kScatter:
-          comm_.scatter(head->coll_in, head->bytes, head->coll_out,
-                        head->root);
-          finished = true;
-          break;
-        default:
-          finished = true;  // unreachable
-          break;
-      }
-      if (finished) {
+      comm_counters_.coll_script_steps.fetch_add(1, std::memory_order_relaxed);
+      if (head->script->step()) {
         coll_queue.pop_front();
         comm_counters_.collectives.fetch_add(1, std::memory_order_relaxed);
-        Status st;
-        complete_task(head, st);
+        complete_task(head, Status{});
         progress = true;
       }
     }

@@ -117,9 +117,9 @@ class Context {
   // this returns, no poller call is in flight and none will start, so the
   // owner (the DDDF transport) can safely destroy the state it polls into.
   void clear_poller();
-  // Enqueues a script-based non-blocking barrier/allreduce; the returned
-  // request is put when it completes. `finish_scoped` controls whether the
-  // op joins the caller's finish scope.
+  // Enqueues a non-blocking barrier/allreduce on the system communicator;
+  // the returned request is put when it completes. It joins no finish
+  // scope: wait with block_until, or cancel it.
   RequestHandle submit_nb_barrier();
   RequestHandle submit_nb_allreduce(const void* in, void* out,
                                     std::size_t count, Datatype t, Op op);
@@ -148,7 +148,7 @@ class Context {
     std::atomic<std::uint64_t> loop_iterations{0};   // progress-loop turns
     std::atomic<std::uint64_t> p2p_polls{0};         // MPI_Test calls
     std::atomic<std::uint64_t> p2p_completions{0};
-    std::atomic<std::uint64_t> coll_script_steps{0};  // nb-collective steps
+    std::atomic<std::uint64_t> coll_script_steps{0};  // collective steps
     std::atomic<std::uint64_t> collectives{0};        // collectives finished
     std::atomic<std::uint64_t> tasks_submitted{0};
   };
@@ -167,14 +167,15 @@ class Context {
   void help_wait_satisfied(const hc::DdfBase& ddf);
   RequestHandle make_p2p(CommKind kind, const void* sbuf, void* rbuf,
                          std::size_t bytes, int peer, int tag);
-  void run_blocking_collective(CommKind kind, const void* in, void* out,
-                               std::size_t count_or_bytes, Datatype t, Op op,
-                               int root);
+  // Queues a collective script as a communication task.
+  RequestHandle submit_collective(smpi::CollScript script);
+  // Same, blocking the caller until it completes.
+  void wait_collective(smpi::CollScript script);
   void release_task(CommTask* t);
   void complete_task(CommTask* t, const Status& st);
 
   smpi::Comm comm_;       // user traffic
-  smpi::Comm sys_comm_;   // internal traffic (nb collectives, DDDF)
+  smpi::Comm sys_comm_;   // internal traffic (phaser bridge, DDDF)
   std::unique_ptr<hc::Runtime> runtime_;
 
   support::MpscQueue<CommTask*> worklist_;

@@ -15,6 +15,73 @@
 namespace smpi {
 
 class World;
+class Comm;
+
+// One rank's half of a collective, as a straight-line script of steps over
+// the communicator's private collective context: send a byte range, receive
+// into a byte range, or receive and combine into a byte range. Comm's
+// *_script builders emit scripts (doing any local copy at build time);
+// step() advances one without ever blocking, which is how the hcmpi
+// communication worker runs collectives next to its other work, and Comm's
+// blocking collectives are a script's wait(). The script keeps a pointer
+// to the Comm that built it, which must outlive it.
+class CollScript {
+ public:
+  CollScript() = default;
+  // Move-only: steps may point into the script's own accumulator.
+  CollScript(CollScript&&) = default;
+  CollScript& operator=(CollScript&&) = default;
+
+  // Advances as far as possible without blocking; true once finished.
+  bool step();
+  // Steps to completion, blocking on each pending receive.
+  void wait();
+  // The receive the script is stopped on, or null.
+  const Request& pending() const { return pending_; }
+
+ private:
+  friend class Comm;
+  enum class Kind : std::uint8_t { kSend, kRecv, kRecvCombine };
+  struct Step {
+    Kind kind;
+    int peer;
+    int tag;
+    void* buf;  // read by kSend, written by the receives
+    std::size_t bytes;
+  };
+
+  explicit CollScript(Comm& comm) : comm_(&comm) {}
+  // A script whose receive-and-combine steps fold count elements of t.
+  CollScript(Comm& comm, std::size_t count, Datatype t, Op op)
+      : comm_(&comm), scratch_(count * datatype_size(t)), dtype_(t), op_(op),
+        count_(count) {}
+
+  void send(const void* buf, std::size_t bytes, int peer, int tag) {
+    steps_.push_back({Kind::kSend, peer, tag, const_cast<void*>(buf), bytes});
+  }
+  void recv(void* buf, std::size_t bytes, int peer, int tag) {
+    steps_.push_back({Kind::kRecv, peer, tag, buf, bytes});
+  }
+  void recv_combine(void* acc, int peer, int tag) {
+    steps_.push_back({Kind::kRecvCombine, peer, tag, acc, scratch_.size()});
+  }
+  // Shapes shared by the rooted and the all- collectives.
+  void reduce_tree(void* acc, int root);
+  void bcast_tree(void* buf, std::size_t bytes, int root);
+  void gather_to(const void* send, std::size_t bytes_per_rank, void* recv,
+                 int root);
+
+  Comm* comm_ = nullptr;
+  std::vector<Step> steps_;
+  std::size_t pc_ = 0;
+  Request pending_;
+  // acc_ is a non-root reduce's accumulator; a kRecvCombine step lands its
+  // message in scratch_, then buf = op(buf, scratch_) over count_ elements.
+  std::vector<std::uint8_t> acc_, scratch_;
+  Datatype dtype_ = Datatype::kByte;
+  Op op_ = Op::kSum;
+  std::size_t count_ = 0;
+};
 
 class Comm {
  public:
@@ -77,7 +144,25 @@ class Comm {
   bool iprobe(int source, int tag, Status* st = nullptr);
   void probe(int source, int tag, Status* st = nullptr);
 
-  // --- collectives (blocking; every rank of the group must participate) ---
+  // --- collectives (every rank of the group must participate) ---
+  // Each is a step script (CollScript); the blocking calls wait on it.
+  CollScript barrier_script();
+  CollScript bcast_script(void* buf, std::size_t bytes, int root);
+  CollScript reduce_script(const void* in, void* out, std::size_t count,
+                           Datatype t, Op op, int root);
+  CollScript allreduce_script(const void* in, void* out, std::size_t count,
+                              Datatype t, Op op);
+  CollScript scan_script(const void* in, void* out, std::size_t count,
+                         Datatype t, Op op);
+  CollScript scatter_script(const void* send, std::size_t bytes_per_rank,
+                            void* recv, int root);
+  CollScript gather_script(const void* send, std::size_t bytes_per_rank,
+                           void* recv, int root);
+  CollScript allgather_script(const void* send, std::size_t bytes_per_rank,
+                              void* recv);
+  CollScript alltoall_script(const void* send, std::size_t bytes_per_rank,
+                             void* recv);
+
   void barrier();
   void bcast(void* buf, std::size_t bytes, int root);
   void reduce(const void* in, void* out, std::size_t count, Datatype t, Op op,
@@ -107,12 +192,14 @@ class Comm {
   // delivering into the void.
   ErrorCode wire_deliver(int dest, Envelope&& env);
 
-  // p2p helpers used by the collective algorithms (private context). Both
-  // report recoverable conditions as coded errors rather than throwing:
-  // csend → kRankDead when either end is fail-stopped, crecv → the received
-  // status error (kTruncate on a short buffer).
+  friend class CollScript;
+
+  // Sends on the collective context; reports a fail-stopped end as
+  // kRankDead rather than throwing.
   ErrorCode csend(const void* buf, std::size_t bytes, int dest, int tag);
-  ErrorCode crecv(void* buf, std::size_t cap, int source, int tag);
+  // Posts a receive on this rank's endpoint in `context`.
+  Request post_recv(void* buf, std::size_t cap, int source, int tag,
+                    std::uint32_t context);
 
   World* world_;
   int rank_;

@@ -48,13 +48,18 @@ Request Comm::irecv(void* buf, std::size_t cap, int source, int tag) {
   if (source != kAnySource && (source < 0 || source >= size())) {
     throw std::out_of_range("smpi: irecv source rank out of range");
   }
+  return post_recv(buf, cap, source, tag, context_);
+}
+
+Request Comm::post_recv(void* buf, std::size_t cap, int source, int tag,
+                        std::uint32_t context) {
   auto req = std::make_shared<RequestState>();
   req->kind = ReqKind::kRecv;
   req->recv_buf = buf;
   req->recv_cap = cap;
   req->match_source = source;
   req->match_tag = tag;
-  req->context = context_;
+  req->context = context;
   req->owner = &endpoint(rank_);
   endpoint(rank_).post_recv(req);
   return req;

@@ -21,14 +21,6 @@
 
 namespace {
 
-void run_hcmpi(int ranks, int workers,
-               const std::function<void(hcmpi::Context&)>& body) {
-  smpi::World::run(ranks, [&](smpi::Comm& comm) {
-    hcmpi::Context ctx(comm, {.num_workers = workers});
-    ctx.run([&] { body(ctx); });
-  });
-}
-
 // --- diagnostics that fire in every build ----------------------------------
 
 TEST(Negative, DdfDoublePutThrowsSingleAssignmentViolation) {
@@ -151,6 +143,14 @@ TEST(Negative, CommTaskLatticeEdges) {
 }
 
 #if HCMPI_CHECK
+
+void run_hcmpi(int ranks, int workers,
+               const std::function<void(hcmpi::Context&)>& body) {
+  smpi::World::run(ranks, [&](smpi::Comm& comm) {
+    hcmpi::Context ctx(comm, {.num_workers = workers});
+    ctx.run([&] { body(ctx); });
+  });
+}
 
 // --- checked-mode fixture ---------------------------------------------------
 

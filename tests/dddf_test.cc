@@ -94,7 +94,9 @@ TEST(Dddf, ManyConsumersOneTransfer) {
       space.finalize();
       // Asserted on the owning rank so the check also holds under
       // hcmpi_launch, where rank 0 may live in another process.
-      if (ctx.rank() == 0) EXPECT_EQ(space.data_messages_sent(), 1u);
+      if (ctx.rank() == 0) {
+        EXPECT_EQ(space.data_messages_sent(), 1u);
+      }
     });
   });
 }

@@ -266,6 +266,35 @@ TEST(Hcmpi, NbAllreduceMatchesBlocking) {
   });
 }
 
+TEST(Hcmpi, CommWorkerServesP2pWhileACollectiveWaits) {
+  // Rank 0's barrier cannot finish before rank 1 joins it, and rank 1 joins
+  // only after rank 0 answered its message. Only a communication worker
+  // that keeps polling while the barrier waits delivers that answer.
+  run_hcmpi(2, 2, [](hcmpi::Context& ctx) {
+    int ping = 0, pong = 0;
+    if (ctx.rank() == 0) {
+      hc::finish([&] {
+        hcmpi::RequestHandle r = ctx.irecv(&ping, sizeof ping, 1, 21);
+        hc::async_await({r.get()}, [&] {
+          pong = ping + 1;
+          ctx.isend(&pong, sizeof pong, 1, 22);
+        });
+        ctx.barrier();
+      });
+    } else {
+      ping = 41;
+      ctx.send(&ping, sizeof ping, 0, 21);
+      hcmpi::RequestHandle r = ctx.irecv(&pong, sizeof pong, 0, 22);
+      r->set_timeout(2'000'000, /*raise=*/false);
+      hcmpi::Status st;
+      ctx.wait(r, &st);
+      EXPECT_NE(st.error, smpi::ErrorCode::kTimeout);
+      EXPECT_EQ(pong, 42);
+      ctx.barrier();
+    }
+  });
+}
+
 // --- hcmpi-phaser / hcmpi-accum -----------------------------------------------
 
 class HcmpiPhaserModes : public ::testing::TestWithParam<bool> {};

@@ -78,37 +78,48 @@ TEST(TaskPool, DestroyTaskFallsBackToHeapForPoollessTasks) {
 }
 
 // The acceptance criterion for lazy allocation: after a warmup burst, the
-// spawn path allocates nothing — every acquire is a freelist hit.
+// spawn path allocates almost nothing — nearly every acquire is a freelist
+// hit. Run at one worker and at two, where a thief frees remotely.
 TEST(TaskPool, SpawnPathHitsFreelistInSteadyState) {
   constexpr int kRounds = 20;
   constexpr int kBurst = 1000;
-  hc::Runtime rt({.num_workers = 2});
-  std::atomic<std::uint64_t> ran{0};
-  std::uint64_t misses_after_warmup = 0;
-  rt.launch([&] {
-    auto burst = [&] {
-      hc::finish([&] {
-        for (int i = 0; i < kBurst; ++i) {
-          hc::async([&] { ran.fetch_add(1, std::memory_order_relaxed); });
-        }
-      });
-    };
-    burst();  // warmup: populates slabs
-    misses_after_warmup = rt.task_pool_stats().freelist_misses;
-    for (int r = 1; r < kRounds; ++r) burst();
-  });
-  EXPECT_EQ(ran.load(), std::uint64_t(kRounds) * kBurst);
-  hc::Runtime::TaskPoolStats s = rt.task_pool_stats();
-  // finish() returning means every task's slot was recycled (run_task
-  // retires before dec), so rounds 2..N never bump-allocate...
-  EXPECT_EQ(s.freelist_misses, misses_after_warmup);
-  // ...and the overall hit rate is ~1.0 (the only misses are slab warmup:
-  // at most one burst's worth of slots).
-  EXPECT_EQ(s.freelist_hits + s.freelist_misses,
-            std::uint64_t(kRounds) * kBurst);
-  double hit_rate = double(s.freelist_hits) /
-                    double(s.freelist_hits + s.freelist_misses);
-  EXPECT_GE(hit_rate, 0.95);
+  for (int workers : {1, 2}) {
+    SCOPED_TRACE(workers);
+    hc::Runtime rt({.num_workers = workers});
+    std::atomic<std::uint64_t> ran{0};
+    std::uint64_t misses_after_warmup = 0;
+    rt.launch([&] {
+      auto burst = [&] {
+        hc::finish([&] {
+          for (int i = 0; i < kBurst; ++i) {
+            hc::async([&] { ran.fetch_add(1, std::memory_order_relaxed); });
+          }
+        });
+      };
+      burst();  // warmup: populates slabs
+      misses_after_warmup = rt.task_pool_stats().freelist_misses;
+      for (int r = 1; r < kRounds; ++r) burst();
+    });
+    EXPECT_EQ(ran.load(), std::uint64_t(kRounds) * kBurst);
+    hc::Runtime::TaskPoolStats s = rt.task_pool_stats();
+    if (workers == 1) {
+      // Every free is the owner's own, and finish() returning means every
+      // task's slot was recycled (run_task retires before dec), so rounds
+      // 2..N never bump-allocate.
+      EXPECT_EQ(s.freelist_misses, misses_after_warmup);
+    } else {
+      // A thief's frees reach the owner's remote stack, possibly after the
+      // owner's next miss. acquire() misses only when its private list and
+      // its remote stack are both empty, i.e. when every slot it ever made
+      // is live, and at most one burst is live at a time.
+      EXPECT_LE(s.freelist_misses, std::uint64_t(kBurst));
+    }
+    EXPECT_EQ(s.freelist_hits + s.freelist_misses,
+              std::uint64_t(kRounds) * kBurst);
+    double hit_rate = double(s.freelist_hits) /
+                      double(s.freelist_hits + s.freelist_misses);
+    EXPECT_GE(hit_rate, 0.95);
+  }
 }
 
 // --- steal_some on the deque -------------------------------------------------
