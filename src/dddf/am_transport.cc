@@ -8,19 +8,6 @@
 
 namespace dddf {
 
-namespace {
-// Retransmission timer: capped exponential, deliberately coarser than the
-// smpi wire's sender-side backoff so acks get a chance to drain first.
-constexpr auto kRtoBase = std::chrono::microseconds(200);
-constexpr auto kRtoCap = std::chrono::milliseconds(3);
-
-std::chrono::steady_clock::duration rto_after(std::uint32_t attempts) {
-  auto d = kRtoBase * (1u << (attempts < 4 ? attempts : 4));
-  return d < kRtoCap ? std::chrono::steady_clock::duration(d)
-                     : std::chrono::steady_clock::duration(kRtoCap);
-}
-}  // namespace
-
 AmBus::AmBus(int nranks) {
   mailboxes_.reserve(std::size_t(nranks));
   for (int i = 0; i < nranks; ++i) {
@@ -49,35 +36,10 @@ void AmTransport::deliver(int to, AmBus::Msg msg) {
   bus_->mailboxes_[std::size_t(to)]->queue.push(std::move(msg));
 }
 
-void AmTransport::transmit(int to, const AmBus::Msg& msg) {
-  if (fault::rank_dead(rank()) || fault::rank_dead(to)) return;  // blackhole
-  fault::Decision d = fault::decide(rank(), to);
-  if (d.delay_us != 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(d.delay_us));
-  }
-  if (d.drop) return;  // the RTO scan retransmits
-  if (d.dup) deliver(to, AmBus::Msg(msg));
-  deliver(to, AmBus::Msg(msg));
-}
-
 void AmTransport::send_protocol(int to, AmBus::Msg msg) {
   if (prof::telemetry()) msg.ts_inject = support::trace::now_ns();
-  if (!fault::enabled()) {
-    deliver(to, std::move(msg));
-    return;
-  }
-  msg.reliable = true;
-  msg.src = rank();
-  msg.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<support::SpinLock> lk(unacked_mu_);
-    auto& u = unacked_[msg.seq];
-    u.to = to;
-    u.msg = msg;  // keep a retransmission copy until the ack lands
-    u.attempts = 0;
-    u.next_rto = Clock::now() + rto_after(0);
-  }
-  transmit(to, msg);
+  if (fault::enabled() && !fault::cross_in_memory(rank(), to)) return;
+  deliver(to, std::move(msg));
 }
 
 void AmTransport::send_register(Guid guid, int home) {
@@ -104,57 +66,16 @@ void AmTransport::post(std::function<void()> fn) {
   deliver(rank(), std::move(m));
 }
 
-void AmTransport::retransmit_expired() {
-  auto now = Clock::now();
-  // Collect expired copies under the lock, transmit (which may sleep on an
-  // injected delay) outside it.
-  std::vector<std::pair<int, AmBus::Msg>> due;
-  {
-    std::lock_guard<support::SpinLock> lk(unacked_mu_);
-    for (auto& [seq, u] : unacked_) {
-      if (now < u.next_rto) continue;
-      ++u.attempts;
-      u.next_rto = now + rto_after(u.attempts);
-      due.emplace_back(u.to, u.msg);
-    }
-  }
-  if (due.empty()) return;
-  auto& reg = support::MetricsRegistry::global();
-  for (auto& [to, msg] : due) {
-    reg.counter("retry.count").add();
-    transmit(to, msg);
-  }
-}
-
 void AmTransport::progress_loop(std::stop_token) {
   auto& mailbox = *bus_->mailboxes_[std::size_t(rank())];
   support::Backoff backoff;
   for (;;) {
     AmBus::Msg msg;
     if (!mailbox.queue.pop(msg)) {
-      if (fault::enabled()) retransmit_expired();
       backoff.pause();
       continue;
     }
     backoff.reset();
-    if (msg.kind == AmBus::Msg::Kind::kAck) {
-      std::lock_guard<support::SpinLock> lk(unacked_mu_);
-      unacked_.erase(msg.seq);
-      continue;
-    }
-    if (msg.reliable) {
-      // Ack every delivery (a lost ack means the sender retransmits and we
-      // ack again), dispatch only the first (at-most-once above the wire).
-      AmBus::Msg ack;
-      ack.kind = AmBus::Msg::Kind::kAck;
-      ack.seq = msg.seq;
-      if (!fault::rank_dead(rank()) && !fault::rank_dead(msg.src)) {
-        fault::Decision d =
-            fault::decide(rank(), msg.src, fault::kAckLane);
-        if (!d.drop) deliver(msg.src, std::move(ack));
-      }
-      if (!seen_.emplace(msg.src, msg.seq).second) continue;  // duplicate
-    }
     if ((msg.kind == AmBus::Msg::Kind::kRegister ||
          msg.kind == AmBus::Msg::Kind::kData) &&
         !handlers_bound()) {
@@ -166,8 +87,8 @@ void AmTransport::progress_loop(std::stop_token) {
     }
     if (msg.ts_inject != 0 && (msg.kind == AmBus::Msg::Kind::kRegister ||
                                msg.kind == AmBus::Msg::Kind::kData)) {
-      // Injection-to-dispatch latency of a protocol message that survived
-      // dedup; includes any retransmission rounds under fault injection.
+      // Injection-to-dispatch latency of a protocol message; includes any
+      // injected lateness.
       static auto& h = support::MetricsRegistry::global().histogram(
           "am.delivery_latency_ns");
       std::uint64_t now = support::trace::now_ns();
@@ -185,8 +106,6 @@ void AmTransport::progress_loop(std::stop_token) {
         break;
       case AmBus::Msg::Kind::kStop:
         return;
-      case AmBus::Msg::Kind::kAck:
-        break;  // handled above
     }
   }
 }

@@ -4,28 +4,21 @@
 // APGNS claim that the model "can be implemented atop a wide range of
 // communication runtimes" (paper §I).
 //
-// Under hc-fault injection the protocol messages (REGISTER / DATA) become
-// *reliable* AMs: each carries a per-transport sequence number, the receiver
-// acks it, and the sender's progress thread retransmits unacked messages on
-// a capped-exponential RTO until the ack lands. Receiver-side dedup keeps
-// the payload transfer at-most-once, so injected drops and duplicates are
-// invisible above the transport. With injection off none of this machinery
-// is touched.
+// A mailbox push is an in-memory channel: it cannot lose or duplicate a
+// message, so the transport keeps no acks, retransmit queue or duplicate
+// filter. Under hc-fault injection a protocol message (REGISTER / DATA) is
+// only made late, by fault::cross_in_memory on the sending thread.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "dddf/transport.h"
 #include "support/mpsc_queue.h"
-#include "support/spin.h"
 
 namespace dddf {
 
@@ -41,23 +34,16 @@ class AmBus {
   friend class AmTransport;
 
   struct Msg {
-    enum class Kind : std::uint8_t { kRegister, kData, kPost, kStop, kAck };
+    enum class Kind : std::uint8_t { kRegister, kData, kPost, kStop };
     Kind kind = Kind::kPost;
     Guid guid = 0;
     int a = 0;  // requester (kRegister)
     Bytes payload;
     std::function<void()> fn;  // kPost
 
-    // Reliable-delivery header (hc-fault): sender rank + per-sender sequence
-    // number. The receiver acks (src, seq) and drops re-deliveries it has
-    // already dispatched.
-    bool reliable = false;
-    int src = -1;
-    std::uint64_t seq = 0;
-
     // Injection timestamp (trace epoch ns), stamped only while prof
-    // telemetry is on. Retransmits carry the original stamp, so the
-    // dispatch-side latency histogram includes retry time.
+    // telemetry is on, before any injected lateness, so the dispatch-side
+    // latency histogram includes it.
     std::uint64_t ts_inject = 0;
   };
 
@@ -93,35 +79,14 @@ class AmTransport : public Transport {
  private:
   using Clock = std::chrono::steady_clock;
 
-  struct Unacked {
-    int to = 0;
-    AmBus::Msg msg;
-    std::uint32_t attempts = 0;
-    Clock::time_point next_rto;
-  };
-
   void progress_loop(std::stop_token st);
   void deliver(int to, AmBus::Msg msg);
-  // Protocol send: plain mailbox push with injection off; with injection on,
-  // stamps the reliable header, records the copy for retransmission and
-  // pushes it through the faulty wire.
+  // Protocol send: a mailbox push, late (or, to a fail-stopped rank,
+  // dropped) under fault injection.
   void send_protocol(int to, AmBus::Msg msg);
-  // One wire crossing of a (copy of a) message: draws a fault decision and
-  // delivers / delays / duplicates / drops accordingly.
-  void transmit(int to, const AmBus::Msg& msg);
-  // Retransmit any unacked message whose RTO expired (progress thread).
-  void retransmit_expired();
 
   std::shared_ptr<AmBus> bus_;
   std::atomic<std::uint64_t> data_sent_{0};
-
-  // Reliable-delivery state. `unacked_` is shared between sender threads
-  // (send_register may run anywhere) and the progress thread (acks, RTO
-  // scan); `seen_` and `acked-dedup` live on the progress thread only.
-  support::SpinLock unacked_mu_;
-  std::map<std::uint64_t, Unacked> unacked_;
-  std::atomic<std::uint64_t> next_seq_{1};
-  std::set<std::pair<int, std::uint64_t>> seen_;  // progress thread only
 
   std::jthread progress_;
 };

@@ -64,7 +64,7 @@ Space::~Space() {
   reg.counter("dddf.data_messages_sent").add(data_messages_sent());
   // Stop the transport's progress engine *before* the implicit member
   // destruction reaches the protocol tables it dispatches into: a queued
-  // put-flush closure or a late retransmitted REGISTER must drain while
+  // put-flush closure or a late REGISTER must drain while
   // `pending_`/`served_`/`entries_` are still alive.
   transport_.reset();
 }

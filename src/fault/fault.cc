@@ -265,6 +265,18 @@ std::uint32_t retry_backoff(std::uint32_t attempt) {
   return us;
 }
 
+bool cross_in_memory(int src, int dst) {
+  for (std::uint32_t attempt = 0;; ++attempt) {
+    if (rank_dead(src) || rank_dead(dst)) return false;
+    const Decision d = decide(src, dst);
+    if (d.delay_us != 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(d.delay_us));
+    }
+    if (!d.drop) return true;
+    retry_backoff(attempt);
+  }
+}
+
 void record_schedule(bool on) {
   std::lock_guard<support::SpinLock> lk(g_mu);
   if (on) g_schedule.clear();

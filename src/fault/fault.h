@@ -12,11 +12,15 @@
 //     (seed, src, dst, lane, per-channel sequence number), so the same seed
 //     replays the same per-channel injection schedule byte-for-byte no
 //     matter how threads interleave.
-//   * The decision point is hooked into the two deliver choke points —
-//     smpi's eager Endpoint delivery (all hcmpi p2p + collective + DDDF
-//     protocol traffic) and the AmBus mailboxes — which is where the
-//     recovery layers (seq/dedup/retransmit in smpi, ack/retransmit in the
-//     AM transport, request deadlines in hcmpi) earn their keep.
+//   * The decision point is hooked into two kinds of channel. The socket
+//     wire (net::Fabric's transmit point) really drops, duplicates and
+//     delays frames; its acks, RTO retransmission and Reorderer repair
+//     them, and that Reorderer is the only duplicate filter in the stack.
+//     The in-memory channels — thread-mode smpi delivery (all hcmpi p2p,
+//     collective and DDDF protocol traffic) and the AmBus mailboxes —
+//     cannot lose or duplicate anything, so there an injected fault only
+//     makes the message late (`cross_in_memory`). Request deadlines in
+//     hcmpi and the deadlined finalize barriers sit above both.
 //   * A stall-watchdog configuration read by the hcmpi communication worker,
 //     plus a process-wide diagnostics registry so subsystems (the DDDF
 //     space) can contribute state dumps when the watchdog fires.
@@ -44,9 +48,11 @@ namespace fault {
 struct Config {
   std::uint64_t seed = 1;
 
-  // Per-message wire probabilities. A drop is recovered by the transport's
-  // retransmit layer; a duplicate tests receiver-side dedup; a delay models
-  // a stalled link (the sender thread sleeps before delivering).
+  // Per-message wire probabilities. On the socket wire a drop is recovered
+  // by the fabric's retransmission, a duplicate by its Reorderer, and a
+  // delay holds the frame on the IO thread's timer queue. On an in-memory
+  // channel a drop becomes a sender-side backoff and a delay a sender-side
+  // sleep; dup_p acts only on the socket wire.
   double drop_p = 0.0;
   double delay_p = 0.0;
   std::uint32_t delay_us = 100;
@@ -117,10 +123,19 @@ Decision decide(int src, int dst, int lane = kPayloadLane);
 // Fail-stop check (see Config::kill_rank).
 bool rank_dead(int rank);
 
-// Sender-side retransmit pacing: sleeps for the capped exponential backoff
-// of `attempt` (32us << attempt, capped at 2ms) and records retry.count and
-// the retry.backoff_us histogram. Returns the microseconds slept.
+// Sender-side retry pacing after an injected drop on an in-memory channel:
+// sleeps for the capped exponential backoff of `attempt` (32us << attempt,
+// capped at 2ms) and records retry.count and the retry.backoff_us
+// histogram. Returns the microseconds slept.
 std::uint32_t retry_backoff(std::uint32_t attempt);
+
+// Injection on an in-memory channel, run by the sender before it delivers
+// one message from src to dst: fault becomes lateness, never loss or a
+// second copy. Fail-stop check first; then per attempt decide(src, dst),
+// sleep any injected delay, and on a drop retry_backoff and decide again.
+// Returns false when src or dst is fail-stop dead (deliver nothing), true
+// when the caller should deliver the message, once.
+bool cross_in_memory(int src, int dst);
 
 // --- schedule recording (reproducibility tests) -----------------------------
 

@@ -101,7 +101,14 @@ CommTask* Context::allocate_task() {
 }
 
 void Context::release_task(CommTask* t) {
-  // Scrub everything a recycled slot must not leak.
+  // Scrub everything a recycled slot must not leak, the point-to-point
+  // fields included: a collective or exec task never sets them, and the
+  // watchdog dump prints them for every queued task.
+  t->send_buf = nullptr;
+  t->recv_buf = nullptr;
+  t->bytes = 0;
+  t->peer = smpi::kAnySource;
+  t->tag = smpi::kAnyTag;
   t->sreq.reset();
   t->request.reset();
   t->finish = nullptr;

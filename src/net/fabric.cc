@@ -209,45 +209,6 @@ std::vector<int> Fabric::dead_peers() const {
   return out;
 }
 
-void Fabric::post(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    posted_.push_back(std::move(fn));
-  }
-  wake();
-}
-
-bool Fabric::barrier(std::uint16_t epoch, std::uint64_t timeout_ms,
-                     std::vector<int>* missing) {
-  for (int q = 0; q < opts_.nprocs; ++q) {
-    if (q == opts_.proc) continue;
-    Frame f;
-    f.kind = FrameKind::kBarrier;
-    f.a = epoch;
-    // Dead/refused peers fail here; the wait below names them as missing.
-    (void)send(q, f);
-  }
-  const bool bounded = timeout_ms != 0;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    const std::set<int>& arrived = barrier_arrivals_[epoch];
-    std::vector<int> notyet;
-    bool any_live_missing = false;
-    for (int q = 0; q < opts_.nprocs; ++q) {
-      if (q == opts_.proc || arrived.count(q) != 0) continue;
-      notyet.push_back(q);
-      if (!peers_[std::size_t(q)]->dead) any_live_missing = true;
-    }
-    if (notyet.empty()) return true;
-    if (!any_live_missing || (bounded && Clock::now() >= deadline)) {
-      if (missing != nullptr) *missing = std::move(notyet);
-      return false;
-    }
-    cv_.wait_for(lk, std::chrono::milliseconds(5));
-  }
-}
-
 bool Fabric::shutdown(bool error) {
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -643,25 +604,16 @@ void Fabric::handle_frame(Peer& p, Frame&& f, Clock::time_point now) {
   if (!p.reorder.push(std::move(f), &released)) {
     return;  // gap buffer full — no ack, the sender's RTO retries later
   }
-  // Ack every accepted frame, duplicates included: a re-received frame
-  // usually means our previous ack was lost.
+  // Ack every accepted frame, including the duplicates the reorderer just
+  // dropped: a re-received frame usually means our previous ack was lost.
   Frame ack;
   ack.kind = FrameKind::kAck;
   ack.seq = seq;
   ack.src = std::uint32_t(opts_.proc);
   ack.dst = std::uint32_t(p.id);
   emit_control(p, ack, now);
-  for (Frame& r : released) {
-    if (r.kind == FrameKind::kBarrier) {
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        barrier_arrivals_[r.a].insert(p.id);
-      }
-      cv_.notify_all();
-    } else if (deliver_) {
-      deliver_(std::move(r));
-    }
-  }
+  if (!deliver_) return;
+  for (Frame& r : released) deliver_(std::move(r));
 }
 
 void Fabric::read_ready(Peer& p, Clock::time_point now) {
@@ -874,17 +826,14 @@ void Fabric::io_main() {
     support::trace::set_thread_ring(ring.get());
   }
   for (;;) {
-    std::deque<std::function<void()>> run;
     bool stop, drop, paused;
     {
       std::lock_guard<std::mutex> lk(mu_);
-      run.swap(posted_);
       stop = stop_;
       drop = drop_conns_;
       drop_conns_ = false;
       paused = paused_;
     }
-    for (auto& fn : run) fn();
     if (stop) break;
     auto now = Clock::now();
     check_dark();

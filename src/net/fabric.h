@@ -4,9 +4,9 @@
 // by default, TCP loopback when tcp_base is set) and a single poll()-driven
 // IO thread that does everything: connect/accept supervision with
 // capped-backoff reconnect, framing, per-connection sequencing + selective
-// acks + RTO retransmission, in-order release through a Reorderer,
-// heartbeats and silence-based peer-death detection, deferred (never
-// sleeping) fault-injected delays, and the flush→goodbye teardown
+// acks + RTO retransmission, exactly-once in-order release through a
+// Reorderer, heartbeats and silence-based peer-death detection, deferred
+// (never sleeping) fault-injected delays, and the flush→goodbye teardown
 // handshake. Senders interact only through bounded per-peer queues:
 // try_send() reports kWouldBlock instead of buffering without limit, and
 // send() parks on a condition variable until the queue drains or the peer
@@ -19,11 +19,12 @@
 // without fork/exec.
 //
 // Fault injection (fault::decide) hooks the transmit point: a dropped frame
-// is simply not written (the RTO resends it), a duplicate is written twice,
-// a delay parks the encoded bytes on a timer queue. Channel ids are process
-// ids and the per-channel decision sequence advances in transmit order on
-// the single IO thread, so a seeded chaos schedule is byte-identical across
-// runs — the same property the thread-mode wire has.
+// is simply not written (the RTO resends it), a duplicate is written twice
+// (the receiving Reorderer drops the second copy), a delay parks the
+// encoded bytes on a timer queue. Channel ids are process ids and the
+// per-channel decision sequence advances in transmit order on the single
+// IO thread, so a seeded chaos schedule is byte-identical across runs —
+// the same property the thread-mode wire has.
 #pragma once
 
 #include <chrono>
@@ -34,7 +35,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -75,8 +75,8 @@ class Fabric {
     kClosed,      // this fabric is shut down
   };
 
-  // Reliable non-barrier frames, in per-connection order, from the IO
-  // thread. Must not call back into this Fabric except via post/try_send.
+  // Reliable frames, each exactly once and in per-connection order, from
+  // the IO thread. Must not call back into this Fabric except via try_send.
   using DeliverFn = std::function<void(Frame&&)>;
 
   Fabric(const FabricOptions& opts, DeliverFn deliver);
@@ -98,17 +98,6 @@ class Fabric {
 
   bool peer_dead(int p) const;
   std::vector<int> dead_peers() const;
-
-  // Runs fn on the IO thread, serialized with frame delivery.
-  void post(std::function<void()> fn);
-
-  // Fabric-wide barrier: broadcasts an arrival for `epoch`, waits until
-  // every live peer's arrival was released in order. Returns true on
-  // success; false fills *missing with the procs that never arrived (dead
-  // peers fail fast instead of burning the whole deadline).
-  // timeout_ms == 0 waits forever.
-  bool barrier(std::uint16_t epoch, std::uint64_t timeout_ms,
-               std::vector<int>* missing);
 
   // Graceful teardown: flush (all queued frames acked), then exchange
   // goodbyes, then stop the IO thread — each phase bounded by
@@ -209,8 +198,6 @@ class Fabric {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<std::unique_ptr<Peer>> peers_;  // peers_[proc_] stays null
-  std::deque<std::function<void()>> posted_;
-  std::map<std::uint16_t, std::set<int>> barrier_arrivals_;
   bool stop_ = false;
   bool closed_ = false;         // no new sends accepted
   bool goodbye_phase_ = false;

@@ -11,10 +11,7 @@ const char* frame_kind_name(FrameKind k) {
     case FrameKind::kAck: return "ack";
     case FrameKind::kHeartbeat: return "heartbeat";
     case FrameKind::kGoodbye: return "goodbye";
-    case FrameKind::kBarrier: return "barrier";
     case FrameKind::kSmpi: return "smpi";
-    case FrameKind::kAmRegister: return "am_register";
-    case FrameKind::kAmData: return "am_data";
   }
   return "?";
 }
@@ -115,12 +112,9 @@ bool FrameReader::next(Frame* f) {
 }
 
 bool Reorderer::push(Frame&& f, std::vector<Frame>* released) {
-  if (f.seq < next_) {
-    // Below the horizon: a retransmit of something already released. Pass
-    // it up — the consumer's dedup filter is the component under test.
-    released->push_back(std::move(f));
-    return true;
-  }
+  // Below the horizon: a retransmit or duplicate of something already
+  // released. Dropped, but still acked — it usually means our ack was lost.
+  if (f.seq < next_) return true;
   if (f.seq == next_) {
     released->push_back(std::move(f));
     ++next_;
@@ -136,19 +130,6 @@ bool Reorderer::push(Frame&& f, std::vector<Frame>* released) {
   if (pending_.size() >= cap_) return false;    // gap buffer full: don't ack
   pending_.emplace(f.seq, std::move(f));
   return true;
-}
-
-bool SeqTracker::accept(std::uint64_t seq) {
-  if (seq < next_) return false;
-  if (seq == next_) {
-    ++next_;
-    for (auto it = above_.begin(); it != above_.end() && *it == next_;) {
-      it = above_.erase(it);
-      ++next_;
-    }
-    return true;
-  }
-  return above_.insert(seq).second;
 }
 
 }  // namespace net

@@ -1,28 +1,23 @@
 // hc-net wire framing: the byte format every socket connection speaks, plus
-// the two receiver-side sequencing utilities the reliability layer is built
-// from (DESIGN.md §9).
+// the receiver-side Reorderer the reliability layer is built from
+// (DESIGN.md §9).
 //
 // A connection is a duplex byte stream between two processes carrying
-// length-prefixed frames. Reliable frame kinds (kSmpi / kAmRegister /
-// kAmData / kBarrier) get a per-connection sequence number assigned by the
-// sender; the receiver acks each one (kAck echoes the seq), releases them in
-// order through a Reorderer, and the sender retransmits anything unacked
-// past its RTO. Everything else (hello/heartbeat/goodbye/ack itself) is
-// fire-and-forget control traffic with seq 0.
+// length-prefixed frames. The one reliable frame kind (kSmpi) gets a
+// per-connection sequence number assigned by the sender; the receiver acks
+// each one (kAck echoes the seq), releases them in order through a
+// Reorderer, and the sender retransmits anything unacked past its RTO.
+// Everything else (hello/heartbeat/goodbye/ack itself) is fire-and-forget
+// control traffic with seq 0.
 //
-// Exactly-once is split across two layers on purpose:
-//   * the connection gives at-least-once, in-order *release* (Reorderer),
-//   * the consumer (smpi Endpoint, NetAmTransport) dedups on an end-to-end
-//     identity (SeqTracker over a per-channel counter), because duplicates
-//     below the reorder horizon are passed UP, not swallowed here. A
-//     retransmit that raced its ack must be visible to the consumer's
-//     dedup filter or that machinery would be dead code on a real wire.
+// Exactly-once lives here and nowhere else: the Reorderer drops a
+// retransmit or injected duplicate of a frame it already released, so the
+// connection hands each reliable frame to its consumer once, in order.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 namespace net {
@@ -35,20 +30,14 @@ enum class FrameKind : std::uint8_t {
   kAck = 2,        // seq = the acknowledged sequence number
   kHeartbeat = 3,  // liveness; silence past the death timeout = peer dead
   kGoodbye = 4,    // clean teardown; flags bit0 = "my ranks failed"
-  kBarrier = 5,    // fabric-level barrier arrival; a = epoch
   kSmpi = 6,       // smpi envelope (world-rank subheader + payload)
-  kAmRegister = 7, // DDDF REGISTER active message
-  kAmData = 8,     // DDDF DATA active message
 };
 
 const char* frame_kind_name(FrameKind k);
 
 // Reliable kinds are sequenced, acked and retransmitted; control kinds are
 // not (a lost heartbeat is replaced by the next one).
-inline bool reliable(FrameKind k) {
-  return k == FrameKind::kSmpi || k == FrameKind::kAmRegister ||
-         k == FrameKind::kAmData || k == FrameKind::kBarrier;
-}
+inline bool reliable(FrameKind k) { return k == FrameKind::kSmpi; }
 
 // Goodbye flag: the sending process's ranks terminated with an error. World
 // teardown uses it to propagate failure across the job (a remote rank death
@@ -124,11 +113,11 @@ class FrameReader {
 // In-order release of reliable frames for one connection. Frames arrive out
 // of order only through loss + retransmission (TCP/UDS streams don't
 // reorder), but retransmits make it routine: seq 7 lost, 8..12 buffered
-// here until 7's retransmit lands, then all release together. Duplicates
-// below the horizon are RELEASED (not dropped) so end-to-end dedup stays
-// load-bearing; duplicates of buffered frames are dropped. push() returns
-// false only when the gap buffer is full — the caller must NOT ack that
-// frame (the sender retries later, by which time the gap has drained).
+// here until 7's retransmit lands, then all release together. Duplicates,
+// below the horizon or of a buffered frame, are dropped; each seq is
+// released exactly once. push() returns false only when the gap buffer is
+// full — the caller must NOT ack that frame (the sender retries later, by
+// which time the gap has drained).
 class Reorderer {
  public:
   explicit Reorderer(std::size_t max_buffered = 4096)
@@ -142,22 +131,6 @@ class Reorderer {
   std::uint64_t next_ = 0;
   std::map<std::uint64_t, Frame> pending_;
   std::size_t cap_;
-};
-
-// Bounded exactly-once filter over a (mostly) gapless u64 counter: a
-// contiguous floor plus the sparse set of accepted seqs above it. Memory is
-// O(outstanding gaps), not O(messages) — this replaces the unbounded
-// wire_seen_ set the thread-mode chaos runs got away with.
-class SeqTracker {
- public:
-  // True exactly once per seq value.
-  bool accept(std::uint64_t seq);
-  std::uint64_t floor() const { return next_; }
-  std::size_t above() const { return above_.size(); }
-
- private:
-  std::uint64_t next_ = 0;  // everything below is accepted
-  std::set<std::uint64_t> above_;
 };
 
 }  // namespace net

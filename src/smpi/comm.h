@@ -185,11 +185,10 @@ class Comm {
   }
   std::uint32_t coll_context() const { return context_ | kCollectiveContextBit; }
 
-  // Delivery through the (optionally faulty) wire: with injection off this
-  // is exactly endpoint(dest).deliver(); with injection on it draws a fault
-  // decision, retransmits dropped attempts with capped backoff under a fixed
-  // wire_seq, and reports a fail-stopped peer as kRankDead instead of
-  // delivering into the void.
+  // Delivery through World::deliver, exactly once: with injection off
+  // this is endpoint(dest).deliver() or a framed socket send; with
+  // injection on a message may arrive late, and a fail-stopped peer is
+  // reported as kRankDead instead of delivering into the void.
   ErrorCode wire_deliver(int dest, Envelope&& env);
 
   friend class CollScript;

@@ -48,9 +48,6 @@ void Endpoint::complete_recv_locked(const Request& req, Envelope& env) {
 
 void Endpoint::deliver(Envelope&& env) {
   std::lock_guard<std::mutex> lk(mu_);
-  if (env.faulty && !wire_seen_[env.wire_src].accept(env.wire_seq)) {
-    return;  // retransmit or injected duplicate of an accepted message
-  }
   if (env.ts_inject != 0) {
     delivered_counter().add();
     std::uint64_t now = support::trace::now_ns();

@@ -1,16 +1,16 @@
 // Per-rank matching engine: the posted-receive queue and the
 // unexpected-message queue, with MPI matching rules — (source, tag, context)
 // with wildcards, FIFO per channel, posted entries matched in post order.
+// Every envelope arrives exactly once: World::deliver guarantees it on both
+// transports, so the endpoint keeps no duplicate filter of its own.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <vector>
 
-#include "net/frame.h"
 #include "smpi/request.h"
 #include "smpi/types.h"
 
@@ -21,14 +21,6 @@ struct Envelope {
   int tag = 0;
   std::uint32_t context = 0;
   std::vector<std::uint8_t> payload;
-
-  // Wire identity, set only when the envelope crossed the faulty wire
-  // (fault::enabled()): retransmits and injected duplicates reuse the
-  // sequence number of the first attempt, and the destination endpoint
-  // drops any (wire_src, wire_seq) it has already accepted.
-  bool faulty = false;
-  int wire_src = -1;  // world rank of the sender
-  std::uint64_t wire_seq = 0;
 
   // Injection timestamp (trace epoch ns), stamped in isend only while prof
   // telemetry is on; 0 otherwise. Feeds the injection-to-delivery and
@@ -82,12 +74,6 @@ class Endpoint {
   std::deque<Request> posted_;
   std::deque<Envelope> unexpected_;
   std::uint64_t unexpected_hw_ = 0;
-  // Exactly-once filter for deliveries that crossed a wire (fault injection
-  // or the socket transport): one bounded SeqTracker per sending world rank.
-  // Memory is O(outstanding gaps) per sender, not O(messages) — both the
-  // thread-mode chaos channel counters and the socket pair_seq counters are
-  // (mostly) gapless, so the tracker collapses to a floor.
-  std::map<int, net::SeqTracker> wire_seen_;
 };
 
 }  // namespace smpi

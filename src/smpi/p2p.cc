@@ -13,8 +13,8 @@ namespace smpi {
 
 ErrorCode Comm::wire_deliver(int dest, Envelope&& env) {
   // World::deliver picks the wire: direct endpoint call for co-located
-  // ranks (through the fault decision point when injection is armed),
-  // framed socket transmission for remote ones.
+  // ranks (late, never lost, when injection is armed), framed socket
+  // transmission for remote ones.
   return world_->deliver(world_rank(rank_), world_rank(dest), std::move(env));
 }
 

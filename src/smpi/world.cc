@@ -2,9 +2,7 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
@@ -62,28 +60,15 @@ net::FabricOptions base_options(const net::ProcEnv& env, int job) {
 // this process.
 struct World::Net {
   bool launched = false;
-  int nranks = 0;
   int nprocs = 1;           // fabric mesh size
   int rpp = 1;              // ranks per process (launched)
   int local_lo = 0;
   int local_hi = 0;
   std::vector<std::unique_ptr<net::Fabric>> fabrics;
-  // Gapless per-(src,dst) world-rank counters: the end-to-end dedup
-  // identity kSmpi frames carry (Endpoint SeqTracker floor advances
-  // contiguously per sender).
-  std::unique_ptr<std::atomic<std::uint64_t>[]> pair_seq;
   std::atomic<bool> shut{false};
   bool remote_error = false;
 
-  std::mutex handler_mu;
-  std::function<void(net::Frame&&)> am_handler;
-  // AM frames that arrived before any handler was installed. The fabric
-  // acked them on release, so dropping here would lose them forever — a
-  // remote rank's register can outrun this process constructing its
-  // transport. Drained, in arrival order, when a handler is installed.
-  std::deque<net::Frame> am_pending;
-
-  Net(World& w, int n) : nranks(n) {
+  Net(World& w, int n) {
     const net::ProcEnv& env = net::proc_env();
     const int job = g_job.fetch_add(1, std::memory_order_relaxed);
     launched = env.launched;
@@ -114,8 +99,6 @@ struct World::Net {
         fabrics.push_back(std::make_unique<net::Fabric>(o, deliver));
       }
     }
-    pair_seq.reset(new std::atomic<std::uint64_t>[std::size_t(n) *
-                                                  std::size_t(n)]());
   }
 
   int proc_of(int rank) const { return launched ? rank / rpp : rank; }
@@ -148,46 +131,13 @@ int World::local_lo() const { return net_ ? net_->local_lo : 0; }
 int World::local_hi() const { return net_ ? net_->local_hi : size(); }
 bool World::multiproc() const { return net_ && net_->launched; }
 
-net::Fabric* World::net_fabric(int src_rank) {
-  return net_ ? &net_->fabric_for(src_rank) : nullptr;
-}
-
-int World::net_proc_of(int rank) const {
-  return net_ ? net_->proc_of(rank) : 0;
-}
-
-void World::set_net_handler(std::function<void(net::Frame&&)> h) {
-  if (!net_) return;
-  std::lock_guard<std::mutex> lk(net_->handler_mu);
-  net_->am_handler = std::move(h);
-  if (net_->am_handler) {
-    while (!net_->am_pending.empty()) {
-      net::Frame f = std::move(net_->am_pending.front());
-      net_->am_pending.pop_front();
-      net_->am_handler(std::move(f));
-    }
-  }
-}
-
 void World::net_ingest(net::Frame&& f) {
-  if (f.kind != net::FrameKind::kSmpi) {
-    // The handler runs (or the frame is parked) under handler_mu so an
-    // install's pending drain cannot interleave with a fresh arrival and
-    // reorder a connection's stream.
-    std::lock_guard<std::mutex> lk(net_->handler_mu);
-    if (net_->am_handler) {
-      net_->am_handler(std::move(f));
-    } else {
-      net_->am_pending.push_back(std::move(f));
-    }
-    return;
-  }
   net::ByteReader rd(f.payload);
   std::int32_t src_w, dst_w, source, tag;
   std::uint32_t context;
-  std::uint64_t pseq, ts;
+  std::uint64_t ts;
   if (!rd.i32(&src_w) || !rd.i32(&dst_w) || !rd.i32(&source) ||
-      !rd.i32(&tag) || !rd.u32(&context) || !rd.u64(&pseq) || !rd.u64(&ts)) {
+      !rd.i32(&tag) || !rd.u32(&context) || !rd.u64(&ts)) {
     return;  // torn subheader — the framing layer already validated length
   }
   if (dst_w < 0 || dst_w >= size()) return;
@@ -197,11 +147,6 @@ void World::net_ingest(net::Frame&& f) {
   env.context = context;
   env.payload.assign(f.payload.begin() + std::ptrdiff_t(rd.off),
                      f.payload.end());
-  // Wire identity for the endpoint's exactly-once filter: retransmits and
-  // injected duplicates below the reorder horizon reach this point too.
-  env.faulty = true;
-  env.wire_src = src_w;
-  env.wire_seq = pseq;
   env.ts_inject = ts;
   endpoint(dst_w).deliver(std::move(env));
 }
@@ -217,16 +162,11 @@ ErrorCode World::deliver(int src, int dst, Envelope&& env) {
     }
     net::Frame f;
     f.kind = net::FrameKind::kSmpi;
-    const std::uint64_t pseq =
-        net_->pair_seq[std::size_t(src) * std::size_t(net_->nranks) +
-                       std::size_t(dst)]
-            .fetch_add(1, std::memory_order_relaxed);
     net::put_i32(f.payload, src);
     net::put_i32(f.payload, dst);
     net::put_i32(f.payload, env.source);
     net::put_i32(f.payload, env.tag);
     net::put_u32(f.payload, env.context);
-    net::put_u64(f.payload, pseq);
     // Trace epochs differ across real processes; only loopback timestamps
     // are comparable end to end.
     net::put_u64(f.payload, net_->launched ? 0 : env.ts_inject);
@@ -246,42 +186,13 @@ ErrorCode World::deliver(int src, int dst, Envelope&& env) {
   }
 
   // Local (thread mode, or co-located ranks in socket mode): the direct
-  // endpoint call, through the hc-fault decision point when injection is
-  // armed.
-  Endpoint& ep = endpoint(dst);
-  if (!fault::enabled()) {
-    ep.deliver(std::move(env));
-    return ErrorCode::kOk;
-  }
-  if (fault::rank_dead(src) || fault::rank_dead(dst)) {
+  // endpoint call. An in-memory channel loses and duplicates nothing, so an
+  // armed fault plane only makes the message late.
+  if (fault::enabled() && !fault::cross_in_memory(src, dst)) {
     return ErrorCode::kRankDead;
   }
-  fault::Decision d = fault::decide(src, dst);
-  env.faulty = true;
-  env.wire_src = src;
-  env.wire_seq = d.seq;  // fixed across retransmits: the dedup identity
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    if (d.delay_us != 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(d.delay_us));
-    }
-    if (!d.drop) {
-      if (d.dup) {
-        Envelope copy = env;
-        ep.deliver(std::move(copy));
-      }
-      ep.deliver(std::move(env));
-      return ErrorCode::kOk;
-    }
-    // The wire ate this attempt. Delivery is synchronous here, so the lost
-    // ack surfaces immediately as this failed call: back off (capped
-    // exponential) and retransmit under the same wire_seq; the receiver
-    // dedups if an earlier copy did land.
-    fault::retry_backoff(attempt);
-    if (fault::rank_dead(src) || fault::rank_dead(dst)) {
-      return ErrorCode::kRankDead;
-    }
-    d = fault::decide(src, dst);
-  }
+  endpoint(dst).deliver(std::move(env));
+  return ErrorCode::kOk;
 }
 
 bool World::net_shutdown(bool local_error) {

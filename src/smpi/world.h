@@ -29,10 +29,6 @@
 #include "smpi/endpoint.h"
 #include "smpi/types.h"
 
-namespace net {
-class Fabric;
-}
-
 namespace smpi {
 
 class Comm;
@@ -61,11 +57,12 @@ class World {
   // True when the job spans more than one OS process.
   bool multiproc() const;
 
-  // Wire-level delivery from world rank src to world rank dst. Local
-  // destinations take the direct endpoint path (through the hc-fault
-  // decision point when injection is armed); remote destinations are framed
-  // onto the socket fabric. Reports kRankDead / kConnRefused for
-  // unreachable peers instead of delivering into the void.
+  // Wire-level delivery from world rank src to world rank dst, exactly
+  // once. Local destinations take the direct endpoint path, where an armed
+  // fault plane can only make the message late (fault::cross_in_memory);
+  // remote destinations are framed onto the socket fabric, whose Reorderer
+  // drops any duplicate the wire produced. Reports kRankDead /
+  // kConnRefused for unreachable peers instead of delivering into the void.
   ErrorCode deliver(int src, int dst, Envelope&& env);
 
   // Allocates a fresh communicator context id (used by Comm::dup()).
@@ -108,16 +105,6 @@ class World {
   // with `local_error`). Returns true when any peer process reported its
   // ranks failed. Idempotent; the destructor calls it as a backstop.
   bool net_shutdown(bool local_error);
-
-  // The fabric a locally hosted rank sends through, and the process id a
-  // world rank lives on. Null / identity in thread mode. Used by the AM
-  // transport (dddf) to ride the same mesh as smpi traffic.
-  net::Fabric* net_fabric(int src_rank);
-  int net_proc_of(int rank) const;
-
-  // Handler for non-kSmpi reliable frames (the DDDF active messages).
-  // Called on fabric IO threads, in per-connection release order.
-  void set_net_handler(std::function<void(net::Frame&&)> h);
 
   // Spawns one thread per locally hosted rank running body(comm), joins
   // them, tears down the fabric, and rethrows the first local exception —

@@ -190,13 +190,6 @@ bool MetricsRegistry::write_json(const std::string& path) const {
   return std::fclose(f) == 0 && ok;
 }
 
-void MetricsRegistry::clear() {
-  std::lock_guard<std::mutex> lk(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry* r = new MetricsRegistry;  // never destroyed
   return *r;

@@ -72,7 +72,8 @@ class MetricsRegistry {
   };
 
   // Lookup-or-create; returned references stay valid for the registry's
-  // lifetime (entries are heap-allocated and never removed except by clear).
+  // lifetime (entries are heap-allocated and never removed), so hot sites
+  // may cache them in a function-local static.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
@@ -96,8 +97,6 @@ class MetricsRegistry {
   // scraping the text dump.
   std::string dump_json() const;
   bool write_json(const std::string& path) const;
-
-  void clear();
 
   // The process-wide instance runtimes export into at teardown.
   static MetricsRegistry& global();

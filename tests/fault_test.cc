@@ -1,8 +1,10 @@
-// hc-fault: deterministic injection schedules, retransmit/dedup recovery on
-// both transports, request deadlines, the stall watchdog and the deadlined
-// finalize barrier.
+// hc-fault: deterministic injection schedules, exactly-once delivery under
+// injection on both in-memory transports, request deadlines, the stall
+// watchdog and the deadlined finalize barrier.
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -112,7 +114,7 @@ TEST(FaultPlan, EnvConfigParses) {
 }
 
 // ---------------------------------------------------------------------------
-// smpi: sender-side retransmit + receiver dedup under the eager wire
+// smpi: injected faults on the thread-mode wire are lateness only
 // ---------------------------------------------------------------------------
 
 TEST(SmpiFault, DropsAndDupsRecoveredExactlyOnce) {
@@ -261,10 +263,12 @@ TEST(DddfFault, MpiTransportChainSurvivesDrops) {
 }
 
 TEST(DddfFault, AmTransportAckRetransmitDelivers) {
+  // The AmBus mailboxes are in-memory channels: a drop there is a
+  // sender-side backoff and retry, never a lost or doubled message.
   FaultGuard guard;
   fault::Config cfg;
   cfg.seed = 3;
-  cfg.drop_p = 0.3;  // heavy loss: every protocol message leans on the RTO
+  cfg.drop_p = 0.3;  // heavy loss: most protocol messages are retried
   fault::configure(cfg);
   std::uint64_t drops0 = counter("fault.injected.drop");
   constexpr int kRanks = 3, kDepth = 10;
@@ -302,8 +306,8 @@ TEST(DddfFault, AmTransportAckRetransmitDelivers) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(final_value.load(), kDepth);
-  // At-most-once above the wire: one DATA per (guid, consumer) pair even
-  // though the wire dropped and retransmitted.
+  // Exactly one DATA per (guid, consumer) pair even though the wire
+  // dropped and retried.
   EXPECT_EQ(transfers.load(), std::uint64_t(kDepth - 1));
   EXPECT_GT(counter("fault.injected.drop"), drops0);
 }
@@ -368,6 +372,37 @@ TEST(WatchdogFault, FiresOnStalledCommWorkerAndDumps) {
   EXPECT_NE(err.find("watchdog"), std::string::npos);
   EXPECT_NE(err.find("irecv"), std::string::npos);
   EXPECT_NE(err.find("dddf.space"), std::string::npos);
+}
+
+TEST(WatchdogFault, RecycledSlotDumpsNoStaleP2pFields) {
+  // A collective stalls in a comm-task slot whose previous incarnation was
+  // a point-to-point message. Its watchdog line must not show that
+  // message's peer, tag and size: a collective carries none of them.
+  FaultGuard guard;
+  fault::Config cfg;
+  cfg.watchdog_ms = 40;
+  fault::configure(cfg);
+  testing::internal::CaptureStderr();
+  smpi::World::run(2, [&](smpi::Comm& comm) {
+    hcmpi::Context ctx(comm, {.num_workers = 2});
+    ctx.run([&] {
+      std::vector<char> out(384, 'x'), in(384);
+      const int peer = 1 - ctx.rank();
+      ctx.waitall({ctx.isend(out.data(), out.size(), peer, 4242),
+                   ctx.irecv(in.data(), in.size(), peer, 4242)});
+      // Both p2p slots are back in the pool; the barrier reuses one. Rank
+      // 1 joins late, so rank 0's barrier sits queued past the watchdog.
+      if (ctx.rank() == 1) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      }
+      ctx.barrier();
+    });
+  });
+  std::string err = testing::internal::GetCapturedStderr();
+  ASSERT_NE(err.find("queued collectives (1)"), std::string::npos) << err;
+  EXPECT_EQ(err.find("peer=1 "), std::string::npos) << err;
+  EXPECT_EQ(err.find("tag=4242"), std::string::npos) << err;
+  EXPECT_EQ(err.find("bytes=384"), std::string::npos) << err;
 }
 
 TEST(BarrierFault, AmBarrierTimeoutNamesMissingRanks) {

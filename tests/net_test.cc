@@ -1,6 +1,6 @@
 // hc-net tests: wire framing, receiver-side sequencing, the Fabric's
 // connection supervision / reliability machinery over real loopback
-// sockets, and the socket-backed World + NetAmTransport integration.
+// sockets, and the socket-backed World with hcmpi and DDDF on top.
 //
 // Everything here runs multiple Fabrics inside ONE process (the socket
 // loopback configuration) so the full reliability layer — framing, acks,
@@ -21,39 +21,27 @@
 #include <thread>
 #include <vector>
 
-#include "dddf/net_transport.h"
-#include "dddf/transport.h"
+#include "core/api.h"
+#include "dddf/space.h"
 #include "fault/fault.h"
+#include "hcmpi/context.h"
 #include "net/boot.h"
 #include "net/fabric.h"
 #include "net/frame.h"
 #include "smpi/comm.h"
 #include "smpi/world.h"
+#include "support/metrics.h"
 
 namespace {
 
 using net::Frame;
 using net::FrameKind;
 
-// Bounded spin for cross-thread counters: a lost delivery must fail the
-// test loudly, never hang the binary (CI's chaos/multiproc steps run it
-// directly, outside ctest's per-test timeout).
-template <typename Pred>
-bool spin_until(Pred pred, int ms = 20000) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-  while (!pred()) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::yield();
-  }
-  return true;
-}
-
 // --- framing ----------------------------------------------------------------
 
 Frame sample_frame() {
   Frame f;
-  f.kind = FrameKind::kAmData;
+  f.kind = FrameKind::kSmpi;
   f.flags = net::kFlagError;
   f.a = 0x1234;
   f.src = 3;
@@ -72,7 +60,7 @@ TEST(NetFrame, HeaderRoundtrip) {
   r.feed(wire.data(), wire.size());
   Frame out;
   ASSERT_TRUE(r.next(&out));
-  EXPECT_EQ(out.kind, FrameKind::kAmData);
+  EXPECT_EQ(out.kind, FrameKind::kSmpi);
   EXPECT_EQ(out.flags, net::kFlagError);
   EXPECT_EQ(out.a, 0x1234);
   EXPECT_EQ(out.src, 3u);
@@ -184,17 +172,18 @@ TEST(NetReorderer, GapBuffersAndReleasesInOrder) {
   EXPECT_EQ(ro.next_seq(), 4u);
 }
 
-TEST(NetReorderer, DuplicateBelowHorizonIsReleasedUp) {
-  // A retransmit that raced its ack must reach the consumer's dedup filter,
-  // not vanish here — otherwise end-to-end dedup is dead code.
+TEST(NetReorderer, DuplicateBelowHorizonIsDropped) {
+  // A retransmit that raced its ack is the Reorderer's to drop: it is the
+  // only duplicate filter, so nothing above it may see the frame twice.
+  // push() still returns true, so the caller acks it again.
   net::Reorderer ro;
   std::vector<Frame> rel;
   EXPECT_TRUE(ro.push(seq_frame(0), &rel));
   rel.clear();
   EXPECT_TRUE(ro.push(seq_frame(0), &rel));
-  ASSERT_EQ(rel.size(), 1u);
-  EXPECT_EQ(rel[0].seq, 0u);
+  EXPECT_TRUE(rel.empty());
   EXPECT_EQ(ro.next_seq(), 1u);  // horizon unchanged
+  EXPECT_EQ(ro.buffered(), 0u);
 }
 
 TEST(NetReorderer, DuplicateOfBufferedDroppedAndCapRejects) {
@@ -209,26 +198,13 @@ TEST(NetReorderer, DuplicateOfBufferedDroppedAndCapRejects) {
   EXPECT_TRUE(rel.empty());
 }
 
-TEST(NetSeqTracker, ExactlyOnceUnderReordering) {
-  net::SeqTracker t;
-  EXPECT_TRUE(t.accept(0));
-  EXPECT_TRUE(t.accept(2));  // out of order: sparse set above the floor
-  EXPECT_FALSE(t.accept(0));
-  EXPECT_FALSE(t.accept(2));
-  EXPECT_TRUE(t.accept(1));  // floor advances over the sparse set
-  EXPECT_EQ(t.floor(), 3u);
-  EXPECT_EQ(t.above(), 0u);
-  EXPECT_FALSE(t.accept(1));
-}
-
 // --- fabric (socket loopback mesh) ------------------------------------------
 
 // N Fabrics in one process over a private session directory, each with a
 // per-proc sink collecting delivered frames. Timers are shortened so death
-// detection and teardown fit a unit test. The delivered stream may contain
-// below-horizon duplicates by design (a spurious RTO retransmit under CI
-// load is enough), so assertions run over fresh() — the exactly-once view a
-// real consumer's SeqTracker would produce.
+// detection and teardown fit a unit test. Assertions run over the raw
+// delivered stream: the fabric releases each reliable frame exactly once,
+// so a spurious RTO retransmit under CI load must not show up in it.
 struct Mesh {
   struct Sink {
     std::mutex mu;
@@ -292,22 +268,16 @@ struct Mesh {
     [[maybe_unused]] int rc = std::system(cmd.c_str());
   }
 
-  // Exactly-once view of proc p's delivered stream: per-source connection
-  // seqs filtered through a SeqTracker, exactly like a real consumer.
-  std::vector<Frame> fresh(int p) {
+  // Proc p's delivered stream as the fabric handed it up, unfiltered.
+  std::vector<Frame> delivered(int p) {
     std::lock_guard<std::mutex> lk(sinks[std::size_t(p)]->mu);
-    std::map<std::uint32_t, net::SeqTracker> seen;
-    std::vector<Frame> out;
-    for (const Frame& f : sinks[std::size_t(p)]->frames) {
-      if (seen[f.src].accept(f.seq)) out.push_back(f);
-    }
-    return out;
+    return sinks[std::size_t(p)]->frames;
   }
 
-  bool wait_fresh(int p, std::size_t n, int ms = 10000) {
+  bool wait_delivered(int p, std::size_t n, int ms = 10000) {
     auto deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-    while (fresh(p).size() < n) {
+    while (delivered(p).size() < n) {
       if (std::chrono::steady_clock::now() > deadline) return false;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -317,7 +287,7 @@ struct Mesh {
 
 Frame data_frame(std::uint32_t tag, std::size_t pad = 0) {
   Frame f;
-  f.kind = FrameKind::kAmData;
+  f.kind = FrameKind::kSmpi;
   net::put_u32(f.payload, tag);
   f.payload.resize(f.payload.size() + pad);
   return f;
@@ -337,8 +307,8 @@ TEST(NetFabric, TwoProcDelivery) {
     Frame f = data_frame(std::uint32_t(i));
     ASSERT_EQ(m.fabrics[0]->send(1, f), net::Fabric::SendResult::kOk);
   }
-  ASSERT_TRUE(m.wait_fresh(1, kN));
-  std::vector<Frame> got = m.fresh(1);
+  ASSERT_TRUE(m.wait_delivered(1, kN));
+  std::vector<Frame> got = m.delivered(1);
   ASSERT_EQ(got.size(), std::size_t(kN));
   for (int i = 0; i < kN; ++i) {
     EXPECT_EQ(tag_of(got[std::size_t(i)]), std::uint32_t(i));
@@ -365,10 +335,10 @@ TEST(NetFabric, FourProcAllToAll) {
     }
   }
   for (int q = 0; q < 4; ++q) {
-    ASSERT_TRUE(m.wait_fresh(q, 3 * kPer)) << "proc " << q;
+    ASSERT_TRUE(m.wait_delivered(q, 3 * kPer)) << "proc " << q;
     // Per-source in-order delivery: each sender's tags ascend.
     std::map<std::uint32_t, std::uint32_t> last;
-    for (const Frame& f : m.fresh(q)) {
+    for (const Frame& f : m.delivered(q)) {
       std::uint32_t tag = tag_of(f);
       auto it = last.find(f.src);
       if (it != last.end()) {
@@ -381,9 +351,10 @@ TEST(NetFabric, FourProcAllToAll) {
 
 TEST(NetFabric, ReconnectRepairsStreamExactlyOnce) {
   // Connections are dropped mid-stream; the supervisor reconnects and the
-  // retransmit queue repairs the tail. The consumer-side SeqTracker must
-  // see every connection seq exactly once, in order — the dedup-under-
-  // reordering property the end-to-end layers rely on.
+  // retransmit queue repairs the tail, resending frames whose acks died
+  // with the old connection. The raw delivered stream must still carry
+  // every connection seq exactly once, in order: the receiver's Reorderer
+  // survives the reconnect and drops the resent copies.
   Mesh m(2);
   const int kN = 200;
   std::jthread chaos([&m] {
@@ -398,12 +369,49 @@ TEST(NetFabric, ReconnectRepairsStreamExactlyOnce) {
     ASSERT_EQ(m.fabrics[0]->send(1, f), net::Fabric::SendResult::kOk);
   }
   chaos.join();
-  ASSERT_TRUE(m.wait_fresh(1, kN));
+  ASSERT_TRUE(m.wait_delivered(1, kN));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  std::vector<Frame> got = m.fresh(1);
+  std::vector<Frame> got = m.delivered(1);
   ASSERT_EQ(got.size(), std::size_t(kN));
   for (int i = 0; i < kN; ++i) {
     EXPECT_EQ(got[std::size_t(i)].seq, std::uint64_t(i));
+    EXPECT_EQ(tag_of(got[std::size_t(i)]), std::uint32_t(i));
+  }
+}
+
+TEST(NetFabric, ResendOfReleasedFramesAfterReconnectIsDropped) {
+  // The reconnect path's duplicate, made on purpose: proc 1 holds its acks
+  // back (pause_tx) and then loses them with its connection, so proc 0
+  // resends every frame on the new connection although proc 1 already
+  // released them all. The raw delivered stream must not repeat any.
+  auto& reg = support::MetricsRegistry::global();
+  Mesh m(2);
+  Frame first = data_frame(0);
+  ASSERT_EQ(m.fabrics[0]->send(1, first), net::Fabric::SendResult::kOk);
+  ASSERT_TRUE(m.wait_delivered(1, 1));  // the connection is up
+  const int kN = 50;
+  m.fabrics[1]->pause_tx(true);
+  for (int i = 1; i <= kN; ++i) {
+    Frame f = data_frame(std::uint32_t(i));
+    ASSERT_EQ(m.fabrics[0]->send(1, f), net::Fabric::SendResult::kOk);
+  }
+  ASSERT_TRUE(m.wait_delivered(1, kN + 1));
+  const std::uint64_t resent0 = reg.counter_value("net.retransmits");
+  const std::uint64_t reconnects0 = reg.counter_value("net.reconnect.count");
+  m.fabrics[1]->drop_connections();  // the held acks die with the connection
+  // Unpause only once the connection was re-established, so the held acks
+  // cannot leave on the old one.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (reg.counter_value("net.reconnect.count") == reconnects0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "no reconnect";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  m.fabrics[1]->pause_tx(false);
+  m.shutdown_all();  // the flush phase waits until proc 0 saw every ack
+  EXPECT_GE(reg.counter_value("net.retransmits") - resent0, std::uint64_t(kN));
+  std::vector<Frame> got = m.delivered(1);
+  ASSERT_EQ(got.size(), std::size_t(kN + 1));
+  for (int i = 0; i <= kN; ++i) {
     EXPECT_EQ(tag_of(got[std::size_t(i)]), std::uint32_t(i));
   }
 }
@@ -412,7 +420,7 @@ TEST(NetFabric, KillSurfacesPeerDeath) {
   Mesh m(2);
   Frame f = data_frame(1);
   ASSERT_EQ(m.fabrics[0]->send(1, f), net::Fabric::SendResult::kOk);
-  ASSERT_TRUE(m.wait_fresh(1, 1));
+  ASSERT_TRUE(m.wait_delivered(1, 1));
 
   m.fabrics[1]->kill();  // SIGKILL stand-in: no goodbye, sockets just close
   auto deadline =
@@ -470,40 +478,10 @@ TEST(NetFabric, BackpressureReportsWouldBlock) {
   }
   EXPECT_TRUE(would_block);
   m.fabrics[0]->pause_tx(false);
-  ASSERT_TRUE(m.wait_fresh(1, std::size_t(accepted)));
+  ASSERT_TRUE(m.wait_delivered(1, std::size_t(accepted)));
   Frame f = data_frame(99);
   EXPECT_EQ(m.fabrics[0]->send(1, f), net::Fabric::SendResult::kOk);
-  ASSERT_TRUE(m.wait_fresh(1, std::size_t(accepted) + 1));
-}
-
-TEST(NetFabric, BarrierReleasesAllProcs) {
-  Mesh m(3);
-  std::atomic<int> done{0};
-  {
-    std::vector<std::jthread> js;
-    for (int p = 0; p < 3; ++p) {
-      js.emplace_back([&m, &done, p] {
-        std::vector<int> missing;
-        EXPECT_TRUE(m.fabrics[std::size_t(p)]->barrier(1, 5000, &missing));
-        done.fetch_add(1);
-      });
-    }
-  }
-  EXPECT_EQ(done.load(), 3);
-}
-
-TEST(NetFabric, BarrierNamesKilledProcAsMissing) {
-  Mesh m(3);
-  m.fabrics[2]->kill();
-  std::vector<std::jthread> js;
-  for (int p = 0; p < 2; ++p) {
-    js.emplace_back([&m, p] {
-      std::vector<int> missing;
-      EXPECT_FALSE(m.fabrics[std::size_t(p)]->barrier(1, 5000, &missing));
-      EXPECT_EQ(missing, std::vector<int>{2});
-    });
-  }
-  js.clear();
+  ASSERT_TRUE(m.wait_delivered(1, std::size_t(accepted) + 1));
 }
 
 TEST(NetFabric, ShutdownFlushesQueuedFrames) {
@@ -515,13 +493,13 @@ TEST(NetFabric, ShutdownFlushesQueuedFrames) {
   }
   // Shutdown's flush phase must not discard anything still in flight.
   m.shutdown_all();
-  EXPECT_EQ(m.fresh(1).size(), std::size_t(kN));
+  EXPECT_EQ(m.delivered(1).size(), std::size_t(kN));
 }
 
 TEST(NetFabric, ChaosDropDupDelayExactlyOnce) {
   // Seeded wire chaos at the socket transmit point: drops are repaired by
-  // RTO retransmission, duplicates by consumer dedup, delays by the
-  // reorderer. The exactly-once view must still be 0..N-1 in order.
+  // RTO retransmission, duplicates and delays by the receiver's Reorderer.
+  // The raw delivered stream must still be 0..N-1 in order, once each.
   fault::reset();
   fault::Config cfg;
   cfg.seed = 1;
@@ -537,9 +515,9 @@ TEST(NetFabric, ChaosDropDupDelayExactlyOnce) {
       Frame f = data_frame(std::uint32_t(i));
       ASSERT_EQ(m.fabrics[0]->send(1, f), net::Fabric::SendResult::kOk);
     }
-    ASSERT_TRUE(m.wait_fresh(1, kN, 20000));
+    ASSERT_TRUE(m.wait_delivered(1, kN, 20000));
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    std::vector<Frame> got = m.fresh(1);
+    std::vector<Frame> got = m.delivered(1);
     ASSERT_EQ(got.size(), std::size_t(kN));
     for (int i = 0; i < kN; ++i) {
       EXPECT_EQ(got[std::size_t(i)].seq, std::uint64_t(i));
@@ -549,7 +527,7 @@ TEST(NetFabric, ChaosDropDupDelayExactlyOnce) {
   fault::reset();
 }
 
-// --- socket-backed World + NetAmTransport -----------------------------------
+// --- socket-backed World -----------------------------------------------------
 
 // Switches the process into socket mode with unit-test-sized timers, and
 // restores everything on teardown (the rest of the suite must keep running
@@ -626,90 +604,55 @@ TEST_F(SocketWorldTest, ChaosOverSocketsStaysExactlyOnce) {
   });
 }
 
-TEST_F(SocketWorldTest, NetAmTransportRegisterAndData) {
-  smpi::World::run(2, [](smpi::Comm& comm) {
-    dddf::NetAmTransport t(comm.world(), comm.rank());
-    std::atomic<int> regs{0};
-    std::atomic<int> datas{0};
-    std::atomic<std::uint64_t> guid{0};
-    t.bind(
-        [&](dddf::Guid g, int requester) {
-          guid.store(g);
-          regs.fetch_add(1);
-          t.send_data(g, requester, dddf::Bytes{9, 9});
-        },
-        [&](dddf::Guid g, dddf::Bytes payload) {
-          EXPECT_EQ(g, 42u);
-          EXPECT_EQ(payload, (dddf::Bytes{9, 9}));
-          datas.fetch_add(1);
-        });
-    if (comm.rank() == 1) {
-      t.send_register(42, 0);
-      ASSERT_TRUE(spin_until([&] { return datas.load() > 0; }));
-    }
-    t.finalize_barrier(10000);
-    if (comm.rank() == 0) {
-      EXPECT_EQ(regs.load(), 1);
-      EXPECT_EQ(guid.load(), 42u);
-      EXPECT_EQ(t.data_messages_sent(), 1u);
-    }
+TEST_F(SocketWorldTest, DddfChainOverLoopbackSocketsExactlyOnce) {
+  // DDDF over real sockets: Space(ctx, ...) rides MpiTransport, so every
+  // REGISTER and DATA is an hcmpi comm task on socket smpi, with drops and
+  // duplicates injected on the wire. Each link k-1 -> k of the chain
+  // crosses ranks, so a lost message hangs the chain, and a duplicate that
+  // got past the fabric's Reorderer shows up as an extra REGISTER or a
+  // second put of one DDF. The chain is long enough that, at this seed,
+  // the injected duplicates land on protocol frames, not only on acks.
+  fault::Config cfg;
+  cfg.seed = 1;
+  cfg.drop_p = 0.05;
+  cfg.dup_p = 0.05;
+  fault::configure(cfg);
+  constexpr int kRanks = 3, kDepth = 48;
+  std::atomic<int> final_value{-1};
+  std::atomic<std::uint64_t> registers{0}, datas{0};
+  smpi::World::run(kRanks, [&](smpi::Comm& comm) {
+    hcmpi::Context ctx(comm, {.num_workers = 2});
+    dddf::Space space(ctx, {
+        .home = [](dddf::Guid g) { return int(g % kRanks); },
+        .size = [](dddf::Guid) { return sizeof(int); },
+    });
+    ctx.run([&] {
+      hc::finish([&] {
+        for (int k = 0; k < kDepth; ++k) {
+          if (int(dddf::Guid(k) % kRanks) != ctx.rank()) continue;
+          if (k == 0) {
+            space.put_value<int>(0, 1);
+          } else {
+            dddf::Guid prev = dddf::Guid(k - 1);
+            space.async_await({prev}, [&space, prev, k] {
+              space.put_value<int>(dddf::Guid(k),
+                                   space.get_value<int>(prev) + 1);
+            });
+          }
+        }
+      });
+      space.finalize();
+      dddf::Guid last = dddf::Guid(kDepth - 1);
+      if (space.is_home(last)) final_value.store(space.get_value<int>(last));
+    });
+    registers.fetch_add(space.registrations_received());
+    datas.fetch_add(space.data_messages_sent());
   });
-}
-
-TEST_F(SocketWorldTest, FinalizeBarrierNamesDeadRank) {
-  // Rank 2 "dies" (its fabric is killed, as SIGKILL would): the survivors'
-  // finalize barrier must throw a BarrierTimeout naming rank 2, not hang.
-  smpi::World::run(3, [](smpi::Comm& comm) {
-    dddf::NetAmTransport t(comm.world(), comm.rank());
-    std::atomic<int> regs{0};
-    std::atomic<int> echoes{0};
-    t.bind(
-        [&](dddf::Guid g, int requester) {
-          regs.fetch_add(1);
-          t.send_data(g, requester, {});  // receipt echo
-        },
-        [&](dddf::Guid, dddf::Bytes) { echoes.fetch_add(1); });
-    // Handshake on the AM plane itself, so the kill below races with no
-    // in-flight traffic. Everyone registers with everyone; a receiver
-    // echoes each register back as DATA. Rank 2 may only die once both
-    // peers echoed — proof its messages were *delivered*, not merely
-    // queued in the fabric the kill is about to destroy. The survivors
-    // wait only for their incoming registers, which that same proof (plus
-    // the live peer's reliable channel) guarantees will arrive.
-    for (int r = 0; r < comm.size(); ++r) {
-      if (r != comm.rank()) t.send_register(dddf::Guid(comm.rank()), r);
-    }
-    ASSERT_TRUE(
-        spin_until([&] { return regs.load() >= comm.size() - 1; }));
-    if (comm.rank() == 2) {
-      // If the echoes never land, fail here WITHOUT killing: the survivors
-      // then time out against a live-but-absent rank 2, still loudly.
-      ASSERT_TRUE(
-          spin_until([&] { return echoes.load() >= comm.size() - 1; }));
-      comm.world().net_fabric(2)->kill();
-      return;
-    }
-    try {
-      t.finalize_barrier(8000);
-      FAIL() << "finalize barrier did not surface the dead rank";
-    } catch (const dddf::BarrierTimeout& e) {
-      EXPECT_EQ(e.rank(), comm.rank());
-      EXPECT_EQ(e.missing(), std::vector<int>{2});
-    }
-  });
-}
-
-TEST(NetAmTransportModes, RequiresSocketMode) {
-  // Thread mode has no fabric: the constructor must refuse loudly instead
-  // of half-working. Forced explicitly so the test also holds when the CI
-  // job exports HCMPI_TRANSPORT=socket for the whole process.
-  const net::Mode prev = net::mode();
-  net::set_mode(net::Mode::kThread);
-  smpi::World::run(2, [](smpi::Comm& comm) {
-    EXPECT_THROW(dddf::NetAmTransport(comm.world(), comm.rank()),
-                 std::logic_error);
-  });
-  net::set_mode(prev);
+  EXPECT_EQ(final_value.load(), kDepth);
+  // Guid k is consumed only by the home of k+1: exactly one REGISTER and
+  // one DATA per (guid, consumer rank).
+  EXPECT_EQ(registers.load(), std::uint64_t(kDepth - 1));
+  EXPECT_EQ(datas.load(), std::uint64_t(kDepth - 1));
 }
 
 }  // namespace

@@ -320,7 +320,11 @@ TEST(TraceExport, WriteFileRoundTrip) {
 TEST(TraceExport, DddfEventsReachTrace) {
   TraceGateGuard guard;
   trace::set_enabled(true);
-  support::MetricsRegistry::global().clear();
+  // The registry is process-wide and never cleared (hot sites cache its
+  // entries), so the transport byte counts are compared as deltas.
+  auto& reg = support::MetricsRegistry::global();
+  const std::uint64_t sent0 = reg.counter_value("dddf.bytes_sent");
+  const std::uint64_t recv0 = reg.counter_value("dddf.bytes_received");
   smpi::World::run(2, [](smpi::Comm& comm) {
     hcmpi::Context ctx(comm, {.num_workers = 1});
     dddf::Space space(ctx, {
@@ -350,10 +354,10 @@ TEST(TraceExport, DddfEventsReachTrace) {
   EXPECT_TRUE(served);
   EXPECT_TRUE(data);
   // Teardown exported transport byte counts into the global registry.
-  auto& reg = support::MetricsRegistry::global();
-  EXPECT_GE(reg.counter_value("dddf.bytes_sent"), 2 * sizeof(int));
-  EXPECT_EQ(reg.counter_value("dddf.bytes_sent"),
-            reg.counter_value("dddf.bytes_received"));
+  const std::uint64_t sent = reg.counter_value("dddf.bytes_sent") - sent0;
+  const std::uint64_t recv = reg.counter_value("dddf.bytes_received") - recv0;
+  EXPECT_GE(sent, 2 * sizeof(int));
+  EXPECT_EQ(sent, recv);
 }
 
 }  // namespace
