@@ -111,16 +111,19 @@ void Space::put(Guid guid, Bytes data) {
         "hc-check: DDDF put after Space::finalize() — remote consumers can "
         "no longer be served");
   }
-  Entry* e = ensure(guid);
-  e->ddf.put(std::move(data));  // releases local DDTs
+  ensure(guid)->ddf.put(std::move(data));  // releases local DDTs
   // Flush registrations that arrived before the put. The flush runs on the
   // progress context, where `pending_`/`served_` live; a registration
   // racing this put is answered directly by on_register (it sees the DDF
   // satisfied), and `served_` keeps the transfer at-most-once either way.
-  transport_->post([this, guid, e] {
+  // Two words of capture keep the closure inside std::function's inline
+  // buffer, so queueing it does not allocate.
+  transport_->post([this, guid] {
     auto it = pending_.find(guid);
     if (it == pending_.end()) return;
-    for (int requester : it->second) serve(guid, e, requester);
+    for (int requester : it->second.requesters) {
+      serve(guid, it->second.entry, requester);
+    }
     pending_.erase(it);
     pending_guids_.store(pending_.size(), std::memory_order_relaxed);
   });
@@ -142,7 +145,9 @@ void Space::on_register(Guid guid, int requester) {
   if (e->ddf.satisfied()) {
     serve(guid, e, requester);  // the "listener task" answering late arrivals
   } else {
-    pending_[guid].push_back(requester);
+    Waiting& w = pending_[guid];
+    w.entry = e;
+    w.requesters.push_back(requester);
     pending_guids_.store(pending_.size(), std::memory_order_relaxed);
   }
 }

@@ -148,7 +148,11 @@ class Space {
   std::atomic<bool> finalized_{false};
 
   // Progress-context-only state (no lock needed).
-  std::unordered_map<Guid, std::vector<int>> pending_;  // waiting requesters
+  struct Waiting {
+    Entry* entry = nullptr;
+    std::vector<int> requesters;
+  };
+  std::unordered_map<Guid, Waiting> pending_;  // registered before the put
   std::unordered_map<Guid, std::unordered_set<int>> served_;
   // Bumped on the progress context only, but read from computation threads
   // (test introspection after finalize, the teardown metrics export, the

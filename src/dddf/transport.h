@@ -6,8 +6,9 @@
 // home-side state needs no locks.
 //
 // Backends:
-//   * MpiTransport (mpi_transport.h) — rides the HCMPI communication worker
-//     and the smpi substrate; the configuration the paper evaluates.
+//   * MpiTransport (mpi_transport.h) — runs in the HCMPI communication
+//     worker's poller over the smpi substrate; the configuration the paper
+//     evaluates.
 //   * AmTransport (am_transport.h)   — a GASNet-flavored active-message bus
 //     with its own progress thread per rank; no MPI anywhere.
 #pragma once
@@ -69,11 +70,14 @@ class Transport {
     bound_.store(true, std::memory_order_release);
   }
 
-  // May be called from any thread.
+  // May be called from any thread. MpiTransport queues the registration
+  // for its poller, which sends one REGISTER message per home rank per
+  // turn; no comm task runs for it.
   virtual void send_register(Guid guid, int home) = 0;
   // Called from the progress context only (home side serving a value).
   virtual void send_data(Guid guid, int to, Bytes payload) = 0;
-  // Runs fn on the progress context (serialized with handlers).
+  // Runs fn on the progress context (serialized with handlers). MpiTransport
+  // queues fn for its poller's next turn; no comm task runs for it.
   virtual void post(std::function<void()> fn) = 0;
   // Collective termination barrier; the progress engine MUST keep serving
   // protocol messages while blocked here (Space::finalize's soundness

@@ -38,7 +38,7 @@ enum class CommKind : std::uint8_t {
   // a-time-per-communicator rule).
   kCollective,
   // Arbitrary closure executed on the communication worker with the system
-  // communicator (the DDDF transport hooks in through this).
+  // communicator (Context::post_exec_async).
   kExec,
   kShutdown,
 };

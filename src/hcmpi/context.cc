@@ -151,13 +151,6 @@ void Context::submit(CommTask* t) {
   worklist_.push(t);
 }
 
-void Context::post_exec(std::function<void(smpi::Comm&)> fn) {
-  CommTask* t = allocate_task();
-  t->kind = CommKind::kExec;
-  t->exec = std::move(fn);
-  submit(t);
-}
-
 RequestHandle Context::post_exec_async(std::function<void(smpi::Comm&)> fn) {
   auto req = std::make_shared<RequestImpl>();
   CommTask* t = allocate_task();

@@ -104,9 +104,8 @@ class Context {
   CommTask* allocate_task();
   // Marks PRESCRIBED and enqueues on the communication worker's worklist.
   void submit(CommTask* t);
-  // Runs fn on the communication worker thread with the system communicator.
-  void post_exec(std::function<void(smpi::Comm&)> fn);
-  // Same, but as a first-class communication task: joins the enclosing
+  // Runs fn on the communication worker thread with the system
+  // communicator, as a first-class communication task: joins the enclosing
   // finish scope and completes the returned request when fn returns. The
   // basis of the asynchronous RMA operations (hcmpi/rma.h).
   RequestHandle post_exec_async(std::function<void(smpi::Comm&)> fn);

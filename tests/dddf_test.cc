@@ -1,9 +1,11 @@
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/api.h"
+#include "dddf/mpi_transport.h"
 #include "dddf/space.h"
 #include "hcmpi/context.h"
 #include "smpi/world.h"
@@ -28,6 +30,34 @@ void run_space(int ranks, int workers,
     });
   });
 }
+
+dddf::MpiTransport& mpi_transport(dddf::Space& space) {
+  return static_cast<dddf::MpiTransport&>(space.transport());
+}
+
+// Parks the rank's communication worker in a comm task until release(), so
+// that everything queued meanwhile meets the poller in one turn.
+class HeldCommWorker {
+ public:
+  explicit HeldCommWorker(hcmpi::Context& ctx) {
+    done_ = ctx.post_exec_async([this](smpi::Comm&) {
+      entered_.store(true);
+      while (!released_.load()) std::this_thread::yield();
+    });
+    while (!entered_.load()) std::this_thread::yield();
+  }
+  ~HeldCommWorker() { release(); }
+
+  void release() {
+    released_.store(true);
+    hcmpi::Context::block_until(done_);
+  }
+
+ private:
+  std::atomic<bool> entered_{false};
+  std::atomic<bool> released_{false};
+  hcmpi::RequestHandle done_;
+};
 
 TEST(Dddf, LocalPutGet) {
   run_space(2, 2, [](hcmpi::Context& ctx, dddf::Space& space) {
@@ -211,6 +241,144 @@ TEST(Dddf, RegistrationCountersExposed) {
       }
     });
   });
+}
+
+TEST(Dddf, RegistrationsOfOneTurnShareOneMessage) {
+  // Rank 1 issues 256 remote awaits while its communication worker is held,
+  // so its poller finds all of them in one turn and must send them to the
+  // home rank as one REGISTER message.
+  constexpr int kGuids = 256;
+  smpi::World::run(2, [&](smpi::Comm& comm) {
+    hcmpi::Context ctx(comm, {.num_workers = 2});
+    dddf::Space space(ctx, cyclic(2));
+    ctx.run([&] {
+      // Guid 2k is homed at rank 0.
+      if (ctx.rank() == 0) {
+        for (int k = 0; k < kGuids; ++k) {
+          space.put_value<int>(dddf::Guid(2 * k), k);
+        }
+      } else {
+        std::atomic<long> sum{0};
+        HeldCommWorker held(ctx);
+        hc::finish([&] {
+          for (int k = 0; k < kGuids; ++k) {
+            dddf::Guid g = dddf::Guid(2 * k);
+            space.async_await({g}, [&space, &sum, g] {
+              sum.fetch_add(space.get_value<int>(g));
+            });
+          }
+          held.release();
+        });
+        EXPECT_EQ(sum.load(), long(kGuids) * (kGuids - 1) / 2);
+      }
+      space.finalize();
+      // Asserted at the home rank so it also holds under hcmpi_launch.
+      if (ctx.rank() == 0) {
+        EXPECT_EQ(space.registrations_received(), std::uint64_t(kGuids));
+        EXPECT_EQ(mpi_transport(space).register_batches_received(), 1u);
+      }
+    });
+  });
+}
+
+TEST(Dddf, ExchangeSubmitsNoCommTask) {
+  // REGISTER, the put flush and DATA all run in the communication worker's
+  // poller, so a put/await exchange submits no comm task on either rank.
+  run_space(2, 2, [](hcmpi::Context& ctx, dddf::Space& space) {
+    const auto& submitted = ctx.comm_counters().tasks_submitted;
+    const std::uint64_t before = submitted.load();
+    dddf::Guid mine = dddf::Guid(ctx.rank());
+    dddf::Guid theirs = dddf::Guid(1 - ctx.rank());
+    std::atomic<int> got{-1};
+    hc::finish([&] {
+      space.async_await({theirs}, [&] {
+        got.store(space.get_value<int>(theirs));
+      });
+      space.put_value<int>(mine, 100 + ctx.rank());
+    });
+    EXPECT_EQ(got.load(), 100 + (1 - ctx.rank()));
+    EXPECT_EQ(submitted.load(), before);  // measured before finalize
+  });
+}
+
+std::uint8_t pattern(std::size_t value, std::size_t i) {
+  return std::uint8_t((i * 31 + value * 7 + 1) & 0xFF);
+}
+
+// Rank 0 produces one value of each size in `sizes` (value k is guid 2k,
+// homed at rank 0) and rank 1 awaits them all. Rank 0 puts only after every
+// registration has arrived, with its communication worker held, so all the
+// put flushes run in one poller step and every DATA record for rank 1 is
+// batched in that step. Checks that each value arrives once with its bytes
+// intact, behind one REGISTER and one DATA record, and that the records
+// left rank 0 in `data_messages` messages.
+void exchange_in_one_step(const std::vector<std::size_t>& sizes,
+                          std::uint64_t data_messages) {
+  const std::size_t n = sizes.size();
+  smpi::World::run(2, [&](smpi::Comm& comm) {
+    hcmpi::Context ctx(comm, {.num_workers = 2});
+    dddf::Space space(ctx, cyclic(2));
+    ctx.run([&] {
+      if (ctx.rank() == 0) {
+        while (space.registrations_received() < n) std::this_thread::yield();
+        HeldCommWorker held(ctx);
+        for (std::size_t k = 0; k < n; ++k) {
+          dddf::Bytes value(sizes[k]);
+          for (std::size_t i = 0; i < value.size(); ++i) {
+            value[i] = pattern(k, i);
+          }
+          space.put(dddf::Guid(2 * k), std::move(value));
+        }
+      } else {
+        std::atomic<std::size_t> intact{0};
+        hc::finish([&] {
+          for (std::size_t k = 0; k < n; ++k) {
+            dddf::Guid g = dddf::Guid(2 * k);
+            space.async_await({g}, [&, g, k] {
+              const dddf::Bytes& got = space.get(g);
+              bool ok = got.size() == sizes[k];
+              for (std::size_t i = 0; ok && i < got.size(); ++i) {
+                ok = got[i] == pattern(k, i);
+              }
+              if (ok) intact.fetch_add(1);
+            });
+          }
+        });
+        EXPECT_EQ(intact.load(), n);
+      }
+      space.finalize();
+      // Asserted at the home rank so it also holds under hcmpi_launch.
+      if (ctx.rank() == 0) {
+        EXPECT_EQ(space.registrations_received(), n);
+        EXPECT_EQ(space.data_messages_sent(), n);
+        EXPECT_EQ(mpi_transport(space).data_batches_sent(), data_messages);
+      }
+    });
+  });
+}
+
+TEST(Dddf, BatchCarriesZeroLengthPayload) {
+  exchange_in_one_step({0, 8, 0}, 1);
+}
+
+TEST(Dddf, BatchSplitsAtTheCap) {
+  // 64 payloads of 4 KiB to one consumer exceed one message's cap: they
+  // leave in as many full messages as the cap allows, plus a remainder.
+  constexpr std::size_t kValues = 64, kBytes = 4096;
+  constexpr std::size_t per_message =
+      dddf::MpiTransport::kBatchCap /
+      (dddf::MpiTransport::kRecordHeader + kBytes);
+  static_assert(kValues * kBytes > dddf::MpiTransport::kBatchCap);
+  exchange_in_one_step(std::vector<std::size_t>(kValues, kBytes),
+                       (kValues + per_message - 1) / per_message);
+}
+
+TEST(Dddf, PayloadLargerThanTheCapTravelsAlone) {
+  // Queued between two small records, the oversized one still gets a
+  // message to itself: three records, three messages.
+  exchange_in_one_step(
+      {8, dddf::MpiTransport::kBatchCap + dddf::MpiTransport::kBatchCap / 2, 8},
+      3);
 }
 
 }  // namespace

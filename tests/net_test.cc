@@ -606,8 +606,8 @@ TEST_F(SocketWorldTest, ChaosOverSocketsStaysExactlyOnce) {
 
 TEST_F(SocketWorldTest, DddfChainOverLoopbackSocketsExactlyOnce) {
   // DDDF over real sockets: Space(ctx, ...) rides MpiTransport, so every
-  // REGISTER and DATA is an hcmpi comm task on socket smpi, with drops and
-  // duplicates injected on the wire. Each link k-1 -> k of the chain
+  // REGISTER and DATA batch is an smpi message over the socket wire, with
+  // drops and duplicates injected on it. Each link k-1 -> k of the chain
   // crosses ranks, so a lost message hangs the chain, and a duplicate that
   // got past the fabric's Reorderer shows up as an extra REGISTER or a
   // second put of one DDF. The chain is long enough that, at this seed,
