@@ -73,12 +73,14 @@ void BM_DequePushPop(benchmark::State& state) {
 BENCHMARK(BM_DequePushPop);
 
 void BM_MpscPushPop(benchmark::State& state) {
-  support::MpscQueue<int> q;
+  struct Item : support::MpscNode {
+    int v = 1;
+  };
+  support::MpscQueue<Item> q;
+  Item item;
   for (auto _ : state) {
-    q.push(1);
-    int v = 0;
-    q.pop(v);
-    benchmark::DoNotOptimize(v);
+    q.push(&item);
+    benchmark::DoNotOptimize(q.pop());
   }
 }
 BENCHMARK(BM_MpscPushPop);

@@ -11,9 +11,10 @@ DdfBase::~DdfBase() {
   if (n == kReady) return;
   while (n != nullptr) {
     WaitNode* next = n->next;
-    n->frame->abandon();
-    n->frame->unref();
-    delete n;
+    AwaitFrame* f = n->frame;
+    if (f->is_or) delete n;  // an AND frame's node lives in the frame
+    f->abandon();
+    f->unref();
     n = next;
   }
 }
@@ -45,12 +46,12 @@ void DdfBase::release_waiters() {
     WaitNode* next = list->next;
     AwaitFrame* f = list->frame;
     if (f->is_or) {
+      delete list;
       f->fire_once();
     } else {
-      f->advance();
+      f->advance();  // may park the frame's node on its next input
     }
     f->unref();
-    delete list;
     list = next;
   }
 }
@@ -62,13 +63,11 @@ void AwaitFrame::advance() {
       ++next_dep;
       continue;
     }
-    auto* node = new DdfBase::WaitNode;
-    node->frame = this;
+    and_node.frame = this;
     ref();
-    if (d->subscribe(node)) return;  // parked; a put will resume the scan
+    if (d->subscribe(&and_node)) return;  // parked; a put resumes the scan
     // Lost the race: d was put between the check and the subscribe.
     unref();
-    delete node;
     ++next_dep;
   }
   // All inputs ready: release the task into the pool.

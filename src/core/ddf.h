@@ -72,6 +72,14 @@ class DdfBase {
     release_waiters();
   }
 
+  // Pooled reuse: back to the empty, unput state. The caller guarantees that
+  // no waiter is registered and that no other thread can reach the DDF.
+  void clear_state() {
+    check::on_ddf_destroy(this);
+    head_.store(nullptr, std::memory_order_relaxed);
+    value_.store(nullptr, std::memory_order_relaxed);
+  }
+
  private:
   static constexpr std::uintptr_t kReadyBits = 1;
   static inline WaitNode* const kReady =
@@ -81,9 +89,17 @@ class DdfBase {
   std::atomic<void*> value_{nullptr};
 };
 
+struct AwaitFrame;
+
+struct DdfBase::WaitNode {
+  WaitNode* next = nullptr;
+  AwaitFrame* frame = nullptr;
+};
+
 // One pending DDT: the task plus its dependence list. AND frames register on
-// one unsatisfied DDF at a time and advance on each trigger; OR frames
-// register on all DDFs and race on the token bit.
+// one unsatisfied DDF at a time and advance on each trigger, so they carry
+// their one wait node; OR frames register on all DDFs, with a heap node
+// each, and race on the token bit.
 struct AwaitFrame {
   Task* task = nullptr;
   Runtime* rt = nullptr;
@@ -92,6 +108,7 @@ struct AwaitFrame {
   bool is_or = false;
   std::atomic<bool> fired{false};    // OR token bit (paper Fig. 12)
   std::atomic<int> refs{1};          // outstanding WaitNodes + in-flight uses
+  DdfBase::WaitNode and_node;        // AND: the node parked on deps[next_dep]
 
   void ref() { refs.fetch_add(1, std::memory_order_relaxed); }
   void unref() {
@@ -105,11 +122,6 @@ struct AwaitFrame {
   void fire_once();
   // Cancels the frame: the task will never run (owning DDF destroyed first).
   void abandon();
-};
-
-struct DdfBase::WaitNode {
-  WaitNode* next = nullptr;
-  AwaitFrame* frame = nullptr;
 };
 
 // Typed DDF holding its value inline.
@@ -133,6 +145,14 @@ class Ddf : public DdfBase {
     if (!satisfied()) throw PrematureGet();
     check::on_ddf_get(this);  // acquire the putter's happens-before history
     return *std::launder(reinterpret_cast<const T*>(storage_));
+  }
+
+ protected:
+  // For pooled subclasses (hcmpi requests): destroys any value and returns
+  // to the unput state, under clear_state()'s guarantees.
+  void clear_for_reuse() {
+    if (satisfied()) std::launder(reinterpret_cast<T*>(storage_))->~T();
+    clear_state();
   }
 
  private:

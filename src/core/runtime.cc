@@ -135,15 +135,19 @@ void Runtime::inject(Task* t) {
   {
     std::lock_guard<std::mutex> lk(inject_mu_);
     injected_.push_back(t);
+    injected_size_.store(injected_.size(), std::memory_order_relaxed);
   }
   notify_work();
 }
 
 Task* Runtime::pop_injected() {
+  // A stale zero only delays pickup to the worker's next scan.
+  if (injected_size_.load(std::memory_order_relaxed) == 0) return nullptr;
   std::lock_guard<std::mutex> lk(inject_mu_);
   if (injected_.empty()) return nullptr;
   Task* t = injected_.front();
   injected_.pop_front();
+  injected_size_.store(injected_.size(), std::memory_order_relaxed);
   return t;
 }
 

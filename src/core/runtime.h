@@ -166,6 +166,9 @@ class Runtime {
 
   std::mutex inject_mu_;
   std::deque<Task*> injected_;
+  // Mirrors injected_.size() so an empty queue costs pop_injected one
+  // relaxed load, not the mutex (as Place::try_pop).
+  std::atomic<std::size_t> injected_size_{0};
 
   std::mutex idle_mu_;
   std::condition_variable idle_cv_;

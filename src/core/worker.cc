@@ -144,7 +144,6 @@ Task* Worker::try_get_task() {
   //    the policy (one / half / adaptive).
   int slots = rt_.total_slots();
   if (slots > 1) {
-    trace_ring_.record(support::trace::Ev::kStealAttempt, std::uint32_t(id_));
     prof::ScopedState ps(prof::State::kStealAttempt);
     const bool tel = prof::telemetry();
     std::uint64_t t0 = tel ? support::trace::now_ns() : 0;
@@ -158,6 +157,9 @@ Task* Worker::try_get_task() {
       // This is what keeps a pool of idle workers from hammering everyone
       // else's deque tops.
       if (victim == nullptr || victim->deque_depth() == 0) continue;
+      // Only probes are traced: a waiting worker scans empty victims
+      // continuously and would otherwise flood its ring.
+      trace_ring_.record(support::trace::Ev::kStealAttempt, std::uint32_t(v));
       bump(steal_attempts_);
       Task* buf[kMaxStealBatch];
       std::size_t got = victim->steal_some(buf, steal_budget(*victim));

@@ -26,43 +26,43 @@ AmTransport::AmTransport(std::shared_ptr<AmBus> bus, int rank)
 }
 
 AmTransport::~AmTransport() {
-  AmBus::Msg stop;
-  stop.kind = AmBus::Msg::Kind::kStop;
+  auto stop = std::make_unique<AmBus::Msg>();
+  stop->kind = AmBus::Msg::Kind::kStop;
   deliver(rank(), std::move(stop));
   if (progress_.joinable()) progress_.join();
 }
 
-void AmTransport::deliver(int to, AmBus::Msg msg) {
-  bus_->mailboxes_[std::size_t(to)]->queue.push(std::move(msg));
+void AmTransport::deliver(int to, std::unique_ptr<AmBus::Msg> msg) {
+  bus_->mailboxes_[std::size_t(to)]->queue.push(msg.release());
 }
 
-void AmTransport::send_protocol(int to, AmBus::Msg msg) {
-  if (prof::telemetry()) msg.ts_inject = support::trace::now_ns();
+void AmTransport::send_protocol(int to, std::unique_ptr<AmBus::Msg> msg) {
+  if (prof::telemetry()) msg->ts_inject = support::trace::now_ns();
   if (fault::enabled() && !fault::cross_in_memory(rank(), to)) return;
   deliver(to, std::move(msg));
 }
 
 void AmTransport::send_register(Guid guid, int home) {
-  AmBus::Msg m;
-  m.kind = AmBus::Msg::Kind::kRegister;
-  m.guid = guid;
-  m.a = rank();
+  auto m = std::make_unique<AmBus::Msg>();
+  m->kind = AmBus::Msg::Kind::kRegister;
+  m->guid = guid;
+  m->a = rank();
   send_protocol(home, std::move(m));
 }
 
-void AmTransport::send_data(Guid guid, int to, Bytes payload) {
-  AmBus::Msg m;
-  m.kind = AmBus::Msg::Kind::kData;
-  m.guid = guid;
-  m.payload = std::move(payload);
+void AmTransport::send_data(Guid guid, int to, const Bytes& payload) {
+  auto m = std::make_unique<AmBus::Msg>();
+  m->kind = AmBus::Msg::Kind::kData;
+  m->guid = guid;
+  m->payload = payload;
   send_protocol(to, std::move(m));
   data_sent_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void AmTransport::post(std::function<void()> fn) {
-  AmBus::Msg m;
-  m.kind = AmBus::Msg::Kind::kPost;
-  m.fn = std::move(fn);
+  auto m = std::make_unique<AmBus::Msg>();
+  m->kind = AmBus::Msg::Kind::kPost;
+  m->fn = std::move(fn);
   deliver(rank(), std::move(m));
 }
 
@@ -70,14 +70,14 @@ void AmTransport::progress_loop(std::stop_token) {
   auto& mailbox = *bus_->mailboxes_[std::size_t(rank())];
   support::Backoff backoff;
   for (;;) {
-    AmBus::Msg msg;
-    if (!mailbox.queue.pop(msg)) {
+    std::unique_ptr<AmBus::Msg> msg(mailbox.queue.pop());
+    if (!msg) {
       backoff.pause();
       continue;
     }
     backoff.reset();
-    if ((msg.kind == AmBus::Msg::Kind::kRegister ||
-         msg.kind == AmBus::Msg::Kind::kData) &&
+    if ((msg->kind == AmBus::Msg::Kind::kRegister ||
+         msg->kind == AmBus::Msg::Kind::kData) &&
         !handlers_bound()) {
       // A remote rank can outrun this rank's Space construction: its first
       // REGISTER may land in the window between this thread starting (the
@@ -85,24 +85,24 @@ void AmTransport::progress_loop(std::stop_token) {
       support::Backoff bind_wait;
       while (!handlers_bound()) bind_wait.pause();
     }
-    if (msg.ts_inject != 0 && (msg.kind == AmBus::Msg::Kind::kRegister ||
-                               msg.kind == AmBus::Msg::Kind::kData)) {
+    if (msg->ts_inject != 0 && (msg->kind == AmBus::Msg::Kind::kRegister ||
+                                msg->kind == AmBus::Msg::Kind::kData)) {
       // Injection-to-dispatch latency of a protocol message; includes any
       // injected lateness.
       static auto& h = support::MetricsRegistry::global().histogram(
           "am.delivery_latency_ns");
       std::uint64_t now = support::trace::now_ns();
-      if (now >= msg.ts_inject) h.add(double(now - msg.ts_inject));
+      if (now >= msg->ts_inject) h.add(double(now - msg->ts_inject));
     }
-    switch (msg.kind) {
+    switch (msg->kind) {
       case AmBus::Msg::Kind::kRegister:
-        on_register_(msg.guid, msg.a);
+        on_register_(msg->guid, msg->a);
         break;
       case AmBus::Msg::Kind::kData:
-        on_data_(msg.guid, std::move(msg.payload));
+        on_data_(msg->guid, std::move(msg->payload));
         break;
       case AmBus::Msg::Kind::kPost:
-        msg.fn();
+        msg->fn();
         break;
       case AmBus::Msg::Kind::kStop:
         return;

@@ -33,7 +33,7 @@ class AmBus {
  private:
   friend class AmTransport;
 
-  struct Msg {
+  struct Msg : support::MpscNode {  // the mailbox link
     enum class Kind : std::uint8_t { kRegister, kData, kPost, kStop };
     Kind kind = Kind::kPost;
     Guid guid = 0;
@@ -48,7 +48,13 @@ class AmBus {
   };
 
   struct Mailbox {
-    support::MpscQueue<Msg> queue;
+    Mailbox() = default;
+    Mailbox(const Mailbox&) = delete;
+    Mailbox& operator=(const Mailbox&) = delete;
+    ~Mailbox() {  // messages to a rank whose progress thread already stopped
+      while (Msg* m = queue.pop()) delete m;
+    }
+    support::MpscQueue<Msg> queue;  // owns the heap messages it holds
   };
 
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
@@ -68,7 +74,7 @@ class AmTransport : public Transport {
   ~AmTransport() override;
 
   void send_register(Guid guid, int home) override;
-  void send_data(Guid guid, int to, Bytes payload) override;
+  void send_data(Guid guid, int to, const Bytes& payload) override;
   void post(std::function<void()> fn) override;
   void finalize_barrier(std::uint64_t timeout_ms = 0) override;
 
@@ -80,10 +86,10 @@ class AmTransport : public Transport {
   using Clock = std::chrono::steady_clock;
 
   void progress_loop(std::stop_token st);
-  void deliver(int to, AmBus::Msg msg);
+  void deliver(int to, std::unique_ptr<AmBus::Msg> msg);
   // Protocol send: a mailbox push, late (or, to a fail-stopped rank,
   // dropped) under fault injection.
-  void send_protocol(int to, AmBus::Msg msg);
+  void send_protocol(int to, std::unique_ptr<AmBus::Msg> msg);
 
   std::shared_ptr<AmBus> bus_;
   std::atomic<std::uint64_t> data_sent_{0};

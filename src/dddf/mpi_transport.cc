@@ -61,7 +61,7 @@ void MpiTransport::post(std::function<void()> fn) {
   out_dirty_.store(true, std::memory_order_release);
 }
 
-void MpiTransport::send_data(Guid guid, int to, Bytes payload) {
+void MpiTransport::send_data(Guid guid, int to, const Bytes& payload) {
   DataBatch& b = data_out_[std::size_t(to)];
   const std::size_t start = b.cuts.empty() ? 0 : b.cuts.back();
   const std::size_t at = b.buf.size();

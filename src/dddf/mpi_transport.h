@@ -35,7 +35,7 @@ class MpiTransport : public Transport {
 
   void send_register(Guid guid, int home) override;
   // Appends a record to the DATA batch for `to`.
-  void send_data(Guid guid, int to, Bytes payload) override;
+  void send_data(Guid guid, int to, const Bytes& payload) override;
   void post(std::function<void()> fn) override;
   void finalize_barrier(std::uint64_t timeout_ms = 0) override;
 

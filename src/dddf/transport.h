@@ -75,7 +75,7 @@ class Transport {
   // turn; no comm task runs for it.
   virtual void send_register(Guid guid, int home) = 0;
   // Called from the progress context only (home side serving a value).
-  virtual void send_data(Guid guid, int to, Bytes payload) = 0;
+  virtual void send_data(Guid guid, int to, const Bytes& payload) = 0;
   // Runs fn on the progress context (serialized with handlers). MpiTransport
   // queues fn for its poller's next turn; no comm task runs for it.
   virtual void post(std::function<void()> fn) = 0;

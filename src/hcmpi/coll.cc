@@ -7,12 +7,11 @@
 namespace hcmpi {
 
 RequestHandle Context::submit_collective(smpi::CollScript script) {
-  auto req = std::make_shared<RequestImpl>();
   CommTask* t = allocate_task();
   t->kind = CommKind::kCollective;
   t->script = std::make_unique<smpi::CollScript>(std::move(script));
-  t->request = req;
   t->finish = nullptr;
+  RequestHandle req(&t->request);
   // Linked like p2p requests so a deadlined finalize barrier is cancellable
   // (Transport::finalize_barrier timeout; see the kCancel path).
   req->task.store(t, std::memory_order_release);

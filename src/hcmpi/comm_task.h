@@ -4,12 +4,14 @@
 //
 // A computation worker allocates a task (recycling from the AVAILABLE pool
 // when possible), fills in the operation (PRESCRIBED) and enqueues it on the
-// communication worker's lock-free worklist. The communication worker issues
-// the underlying smpi operation (ACTIVE: a point-to-point request it polls,
-// or a collective script it steps), completes it (COMPLETED: status is
-// DDF_PUT onto the HCMPI request, the enclosing finish scope is released)
-// and recycles the slot (AVAILABLE, generation bumped so stale cancel
-// handles can never touch a reused slot).
+// communication worker's lock-free worklist, which links the task itself.
+// The communication worker issues the underlying smpi operation (ACTIVE: a
+// point-to-point request it polls, or a collective script it steps),
+// completes it (COMPLETED: status is DDF_PUT onto the HCMPI request, which
+// lives in the task, and the enclosing finish scope is released) and
+// retires the slot (AVAILABLE, generation bumped so a stale cancel can
+// never touch a reused slot). The slot goes back to the pool once the last
+// RequestHandle to its request is dropped, so a handle never sees a reuse.
 #pragma once
 
 #include <atomic>
@@ -23,6 +25,8 @@
 #include "check/check.h"
 #include "core/ddf.h"
 #include "smpi/comm.h"
+#include "support/mpsc_queue.h"
+#include "support/ref_ptr.h"
 #include "support/trace.h"
 
 namespace hcmpi {
@@ -127,16 +131,39 @@ class RequestImpl : public hc::Ddf<Status> {
 
   std::atomic<std::uint64_t> deadline_ns{0};  // 0 = no deadline
   std::atomic<bool> raise_on_timeout{false};
+
+  // Handle plumbing (support::RefPtr). A request lives inside its CommTask
+  // and shares the slot's count: the communication worker holds one
+  // reference until the task retires, every RequestHandle holds one, and
+  // the last release returns the slot to its Context's pool. A bare request
+  // (Context::request_create) is deleted by its last handle instead.
+  void ref() { refs_.fetch_add(1, std::memory_order_relaxed); }
+  void unref();
+
+ private:
+  friend class Context;
+  friend class SlotPool;
+  friend struct CommTask;
+  // Back to a fresh, unput request for the slot's next incarnation.
+  void recycle();
+
+  std::atomic<std::uint32_t> refs_{0};
+  CommTask* slot_ = nullptr;  // null for a bare request
 };
 
-using RequestHandle = std::shared_ptr<RequestImpl>;
+// Copyable, nullable, and may outlive the Context that issued it.
+using RequestHandle = support::RefPtr<RequestImpl>;
 
-struct CommTask {
+class SlotPool;
+
+struct CommTask : support::MpscNode {  // the link of the worklist
+  CommTask() { request.slot_ = this; }
+
   std::atomic<CommTaskState> state{CommTaskState::kAllocated};
   std::atomic<std::uint64_t> gen{0};
   CommKind kind = CommKind::kIsend;
 
-  // Stable index into the owning Context's task arena; with `gen` it names
+  // Stable index into the owning Context's task pool; with `gen` it names
   // one task *incarnation* — the id the trace exporter keys lifecycle spans
   // on (paper Fig. 10: ALLOCATED -> PRESCRIBED -> ACTIVE -> COMPLETED ->
   // AVAILABLE).
@@ -170,9 +197,15 @@ struct CommTask {
   // Exec command.
   std::function<void(smpi::Comm&)> exec;
 
-  // Completion plumbing.
-  RequestHandle request;            // status lands here (may be null)
+  // Completion plumbing. The status of a p2p, collective or exec task lands
+  // in `request`, which is handed out before submit; command tasks (cancel,
+  // shutdown) never hand it out.
+  RequestImpl request;
   hc::FinishScope* finish = nullptr;  // inc'd at creation, dec'd on completion
+
+  // Pool plumbing.
+  SlotPool* pool = nullptr;
+  CommTask* next_free = nullptr;  // the pool's free list, under its lock
 };
 
 // The single sanctioned way to move a communication task through its

@@ -49,8 +49,7 @@ void Context::comm_worker_main() {
     support::MetricsRegistry::global().counter("request.timeout.count").add();
     self->trace_ring().record(support::trace::Ev::kRequestTimeout, t->slot_id,
                               t->gen.load(std::memory_order_relaxed));
-    if (t->request &&
-        t->request->raise_on_timeout.load(std::memory_order_relaxed) &&
+    if (t->request.raise_on_timeout.load(std::memory_order_relaxed) &&
         t->finish != nullptr) {
       t->finish->capture_exception(std::make_exception_ptr(
           RequestTimeout(t->kind, t->peer, t->tag)));
@@ -131,8 +130,7 @@ void Context::comm_worker_main() {
     comm_counters_.loop_iterations.fetch_add(1, std::memory_order_relaxed);
 
     // 1. Drain the worklist.
-    CommTask* t = nullptr;
-    while (worklist_.pop(t)) {
+    while (CommTask* t = worklist_.pop()) {
       progress = true;
       // hc-check submit -> receive edge: from here on, everything this
       // worker does (including the completion put) is ordered after the
@@ -221,9 +219,7 @@ void Context::comm_worker_main() {
         continue;
       }
       std::uint64_t dl =
-          t2->request != nullptr
-              ? t2->request->deadline_ns.load(std::memory_order_acquire)
-              : 0;
+          t2->request.deadline_ns.load(std::memory_order_acquire);
       if (dl != 0 && support::trace::now_ns() >= dl) {
         active[i] = active.back();
         active.pop_back();

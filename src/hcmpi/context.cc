@@ -16,6 +16,75 @@ support::trace::Ring* cur_ring() {
 }
 }  // namespace
 
+void RequestImpl::unref() {
+  if (refs_.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  if (slot_ == nullptr) {
+    delete this;
+  } else {
+    slot_->pool->give_back(slot_);
+  }
+}
+
+void RequestImpl::recycle() {
+  clear_for_reuse();
+  task.store(nullptr, std::memory_order_relaxed);
+  task_gen.store(0, std::memory_order_relaxed);
+  deadline_ns.store(0, std::memory_order_relaxed);
+  raise_on_timeout.store(false, std::memory_order_relaxed);
+}
+
+CommTask* SlotPool::take(bool* recycled) {
+  {
+    std::lock_guard<support::SpinLock> lk(mu_);
+    if (CommTask* t = free_) {
+      free_ = t->next_free;
+      *recycled = true;
+      return t;
+    }
+  }
+  *recycled = false;
+  auto* t = new CommTask;
+  t->pool = this;
+  holders_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<support::SpinLock> lk(mu_);
+  t->slot_id = created_++;
+  return t;
+}
+
+void SlotPool::give_back(CommTask* t) {
+  t->request.recycle();
+  {
+    std::lock_guard<support::SpinLock> lk(mu_);
+    if (!closed_) {
+      t->next_free = free_;
+      free_ = t;
+      return;
+    }
+  }
+  delete t;  // released after its Context closed the pool
+  drop();
+}
+
+void SlotPool::close() {
+  CommTask* idle;
+  {
+    std::lock_guard<support::SpinLock> lk(mu_);
+    closed_ = true;
+    idle = std::exchange(free_, nullptr);
+  }
+  while (idle != nullptr) {
+    CommTask* next = idle->next_free;
+    delete idle;
+    drop();
+    idle = next;
+  }
+  drop();
+}
+
+void SlotPool::drop() {
+  if (holders_.fetch_sub(1, std::memory_order_acq_rel) == 1) delete this;
+}
+
 Context::Context(smpi::Comm comm, const ContextConfig& cfg)
     : comm_(comm), sys_comm_(comm.dup()) {
   hc::RuntimeConfig rc;
@@ -23,9 +92,9 @@ Context::Context(smpi::Comm comm, const ContextConfig& cfg)
   runtime_ = std::make_unique<hc::Runtime>(rc);
   runtime_->set_trace_pid(comm_.rank());  // one Chrome-trace pid per rank
   comm_thread_ = std::jthread([this] { comm_worker_main(); });
-  // Telemetry cadence gauge: communication tasks outstanding (allocated but
-  // not yet recycled) — derived from pool bookkeeping, so the comm worker's
-  // hot path pays nothing for it.
+  // Telemetry cadence gauge: communication tasks outstanding (submitted but
+  // not yet retired) — derived from two counters, so the comm worker's hot
+  // path pays nothing for it.
   prof_sampler_id_ = prof::add_sampler([this] {
     double depth = double(outstanding_tasks());
     auto& reg = support::MetricsRegistry::global();
@@ -42,7 +111,7 @@ Context::~Context() {
   if (comm_thread_.joinable()) comm_thread_.join();
   runtime_.reset();
   export_metrics(support::MetricsRegistry::global());
-  for (CommTask* task : pool_) (void)task;  // owned by all_tasks_
+  pool_.reset();  // slots still held by RequestHandles free themselves
 }
 
 void Context::export_metrics(support::MetricsRegistry& reg) const {
@@ -65,29 +134,20 @@ void Context::export_metrics(support::MetricsRegistry& reg) const {
 }
 
 std::uint64_t Context::outstanding_tasks() const {
-  std::lock_guard<support::SpinLock> lk(
-      const_cast<support::SpinLock&>(pool_mu_));
-  return all_tasks_.size() - pool_.size();
+  const std::uint64_t retired = retired_.load(std::memory_order_relaxed);
+  const std::uint64_t submitted =
+      comm_counters_.tasks_submitted.load(std::memory_order_relaxed);
+  return submitted > retired ? submitted - retired : 0;
 }
 
 CommTask* Context::allocate_task() {
-  CommTask* t = nullptr;
-  {
-    std::lock_guard<support::SpinLock> lk(pool_mu_);
-    if (!pool_.empty()) {
-      t = pool_.back();
-      pool_.pop_back();
-      transition(*t, CommTaskState::kAllocated, std::memory_order_relaxed);
-      recycled_.fetch_add(1, std::memory_order_relaxed);
-    }
+  bool recycled = false;
+  CommTask* t = pool_->take(&recycled);
+  if (recycled) {
+    transition(*t, CommTaskState::kAllocated, std::memory_order_relaxed);
+    recycled_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (t == nullptr) {
-    auto owned = std::make_unique<CommTask>();
-    t = owned.get();
-    std::lock_guard<support::SpinLock> lk(pool_mu_);
-    t->slot_id = std::uint32_t(all_tasks_.size());
-    all_tasks_.push_back(std::move(owned));
-  }
+  t->request.ref();  // the communication worker's, dropped by release_task
   if (support::trace::enabled() || prof::telemetry()) {
     t->ts_allocated = support::trace::now_ns();
     if (auto* ring = cur_ring()) {
@@ -110,7 +170,6 @@ void Context::release_task(CommTask* t) {
   t->peer = smpi::kAnySource;
   t->tag = smpi::kAnyTag;
   t->sreq.reset();
-  t->request.reset();
   t->finish = nullptr;
   t->exec = nullptr;
   t->script.reset();
@@ -125,14 +184,10 @@ void Context::release_task(CommTask* t) {
   }
   t->gen.fetch_add(1, std::memory_order_acq_rel);
   transition(*t, CommTaskState::kAvailable);
-  std::lock_guard<support::SpinLock> lk(pool_mu_);
-  pool_.push_back(t);
-}
-
-std::uint64_t Context::pool_size() const {
-  std::lock_guard<support::SpinLock> lk(
-      const_cast<support::SpinLock&>(pool_mu_));
-  return pool_.size();
+  retired_.store(retired_.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_relaxed);
+  // The slot returns to the pool now, or when its last handle drops.
+  t->request.unref();
 }
 
 void Context::submit(CommTask* t) {
@@ -152,11 +207,10 @@ void Context::submit(CommTask* t) {
 }
 
 RequestHandle Context::post_exec_async(std::function<void(smpi::Comm&)> fn) {
-  auto req = std::make_shared<RequestImpl>();
   CommTask* t = allocate_task();
   t->kind = CommKind::kExec;
   t->exec = std::move(fn);
-  t->request = req;
+  RequestHandle req(&t->request);
   hc::FinishScope* fs = hc::Runtime::current_finish();
   if (fs != nullptr) fs->inc();
   t->finish = fs;
@@ -199,17 +253,14 @@ void Context::complete_task(CommTask* t, const Status& st) {
     }
   }
   transition(*t, CommTaskState::kCompleted);
-  RequestHandle req = t->request;
   hc::FinishScope* fs = t->finish;
-  if (req) {
-    // Unlink before the slot can be recycled: a racing cancel/test sees
-    // either a live task with a matching generation or no task at all.
-    req->task.store(nullptr, std::memory_order_release);
-  }
-  release_task(t);
+  // Unlink first: a racing cancel/test sees either a live task with a
+  // matching generation or no task at all.
+  t->request.task.store(nullptr, std::memory_order_release);
   // Putting the status releases DDTs awaiting this request and wakes
-  // help-waiters; do it after release so the slot is reusable immediately.
-  if (req) req->put(st);
+  // help-waiters; the worker's reference keeps the slot until release.
+  t->request.put(st);
+  release_task(t);
   if (fs != nullptr) {
     // hc-check: the communication's history joins the enclosing finish
     // before the waiter can observe the scope drained.
@@ -263,7 +314,6 @@ void Context::help_wait_satisfied(const hc::DdfBase& ddf) {
 
 RequestHandle Context::make_p2p(CommKind kind, const void* sbuf, void* rbuf,
                                 std::size_t bytes, int peer, int tag) {
-  auto req = std::make_shared<RequestImpl>();
   CommTask* t = allocate_task();
   t->kind = kind;
   t->send_buf = sbuf;
@@ -271,12 +321,13 @@ RequestHandle Context::make_p2p(CommKind kind, const void* sbuf, void* rbuf,
   t->bytes = bytes;
   t->peer = peer;
   t->tag = tag;
-  t->request = req;
   // Communication tasks join the enclosing finish scope (paper Fig. 3: a
   // finish around HCMPI_Irecv implements HCMPI_Recv).
   hc::FinishScope* fs = hc::Runtime::current_finish();
   if (fs != nullptr) fs->inc();
   t->finish = fs;
+  // Taken before submit: the worker may complete and release the task first.
+  RequestHandle req(&t->request);
   req->task.store(t, std::memory_order_release);
   req->task_gen.store(t->gen.load(std::memory_order_acquire),
                       std::memory_order_release);
@@ -368,7 +419,6 @@ bool Context::cancel(const RequestHandle& r) {
   t->kind = CommKind::kCancel;
   t->target = target;
   t->target_gen = r->task_gen.load(std::memory_order_acquire);
-  t->request = nullptr;
   t->finish = nullptr;
   submit(t);
   // Cancellation is itself asynchronous; the caller observes the outcome on

@@ -34,6 +34,41 @@ namespace hcmpi {
 using Datatype = smpi::Datatype;
 using Op = smpi::Op;
 
+// A Context's CommTask slots: the AVAILABLE pool of paper Fig. 11. A slot
+// returns here when its request's last reference drops (see RequestImpl),
+// so a recycled slot is never reachable through an old handle. The pool is
+// shared with its slots: after Context::~Context closes it, a slot still
+// held by a RequestHandle frees itself on its last release, and the last
+// slot takes the pool with it.
+class SlotPool {
+ public:
+  SlotPool() = default;
+  SlotPool(const SlotPool&) = delete;
+  SlotPool& operator=(const SlotPool&) = delete;
+
+  // A recycled slot (AVAILABLE, *recycled = true) or a new one (ALLOCATED).
+  CommTask* take(bool* recycled);
+  // The slot's last reference dropped.
+  void give_back(CommTask* t);
+  // Owner teardown: frees the idle slots and drops the owner's hold.
+  void close();
+
+  // unique_ptr deleter for the owner's hold.
+  struct Closer {
+    void operator()(SlotPool* p) const { p->close(); }
+  };
+
+ private:
+  ~SlotPool() = default;
+  void drop();  // one holder fewer; the last deletes the pool
+
+  support::SpinLock mu_;
+  CommTask* free_ = nullptr;
+  std::uint32_t created_ = 0;
+  bool closed_ = false;
+  std::atomic<std::uint64_t> holders_{1};  // the owner plus every live slot
+};
+
 struct ContextConfig {
   int num_workers = 2;  // computation workers (the paper's -nproc)
 };
@@ -82,7 +117,7 @@ class Context {
   // HCMPI_REQUEST_CREATE: a bare request handle; since a request *is* a DDF,
   // user code can DDF_PUT it to splice arbitrary events into await lists.
   static RequestHandle request_create() {
-    return std::make_shared<RequestImpl>();
+    return RequestHandle(new RequestImpl);
   }
 
   // --- collectives (blocking; HCMPI_Barrier / ...) ---
@@ -131,9 +166,7 @@ class Context {
   static bool block_until_deadline(const RequestHandle& r,
                                    std::uint64_t timeout_ms);
 
-  // Lifecycle observability for tests (counts recycled slots).
-  std::uint64_t pool_size() const;
-  // Communication tasks currently allocated and not yet recycled — the
+  // Communication tasks submitted and not yet retired (AVAILABLE) — the
   // comm-queue depth the telemetry gauge samples.
   std::uint64_t outstanding_tasks() const;
   std::uint64_t tasks_recycled() const {
@@ -177,13 +210,13 @@ class Context {
   smpi::Comm sys_comm_;   // internal traffic (phaser bridge, DDDF)
   std::unique_ptr<hc::Runtime> runtime_;
 
-  support::MpscQueue<CommTask*> worklist_;
+  support::MpscQueue<CommTask> worklist_;
   std::atomic<bool> shutdown_{false};
 
-  support::SpinLock pool_mu_;
-  std::vector<CommTask*> pool_;
-  std::vector<std::unique_ptr<CommTask>> all_tasks_;
+  std::unique_ptr<SlotPool, SlotPool::Closer> pool_{new SlotPool};
   std::atomic<std::uint64_t> recycled_{0};
+  // Tasks retired by the communication worker (its only writer).
+  std::atomic<std::uint64_t> retired_{0};
 
   std::function<bool(smpi::Comm&)> poller_;
   std::atomic<bool> poller_set_{false};

@@ -35,8 +35,7 @@ ErrorCode Comm::csend(const void* buf, std::size_t bytes, int dest, int tag) {
   env.source = rank_;
   env.tag = tag;
   env.context = coll_context();
-  env.payload.resize(bytes);
-  if (bytes > 0) std::memcpy(env.payload.data(), buf, bytes);
+  env.payload.assign(buf, bytes);
   return wire_deliver(dest, std::move(env));
 }
 

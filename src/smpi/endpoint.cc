@@ -10,7 +10,8 @@ namespace smpi {
 
 namespace {
 // Cached registry entries: the per-message cost while telemetry is on is
-// one histogram add, not a name lookup under the registry lock.
+// one histogram add, not a name lookup under the registry lock. Both are
+// recorded after the endpoint lock is released.
 support::MetricsRegistry::Histogram& inject_to_delivery_hist() {
   static auto& h = support::MetricsRegistry::global().histogram(
       "smpi.injection_to_delivery_ns");
@@ -26,15 +27,90 @@ support::MetricsRegistry::Counter& delivered_counter() {
       support::MetricsRegistry::global().counter("smpi.messages_delivered");
   return c;
 }
+
+void add_since(support::MetricsRegistry::Histogram& h, std::uint64_t ts) {
+  std::uint64_t now = support::trace::now_ns();
+  if (now >= ts) h.add(double(now - ts));
+}
 }  // namespace
 
-void Endpoint::complete_recv_locked(const Request& req, Envelope& env) {
-  RequestState& r = *req;
-  if (env.ts_inject != 0) {
-    std::uint64_t now = support::trace::now_ns();
-    if (now >= env.ts_inject)
-      inject_to_completion_hist().add(double(now - env.ts_inject));
+Payload& Payload::operator=(Payload&& o) noexcept {
+  if (this != &o) {
+    size_ = std::exchange(o.size_, 0);
+    heap_ = std::move(o.heap_);
+    if (!heap_ && size_ > 0) std::memcpy(inline_, o.inline_, size_);
   }
+  return *this;
+}
+
+void Payload::assign(const void* src, std::size_t n) {
+  size_ = n;
+  std::uint8_t* dst = inline_;
+  if (n > kInlineBytes) {
+    heap_ = std::make_unique_for_overwrite<std::uint8_t[]>(n);
+    dst = heap_.get();
+  } else {
+    heap_.reset();
+  }
+  if (n > 0) std::memcpy(dst, src, n);
+}
+
+void RequestState::unref() {
+  if (refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) owner->recycle(this);
+}
+
+Endpoint::~Endpoint() {
+  posted_.clear();  // returns the states of never-matched receives
+  while (free_ != nullptr) {
+    RequestState* next = free_->next_free_;
+    delete free_;
+    free_ = next;
+  }
+}
+
+RequestState* Endpoint::take_state(std::unique_lock<support::SpinLock>& lk) {
+  if (RequestState* r = free_) {
+    free_ = r->next_free_;
+    return r;
+  }
+  lk.unlock();
+  auto* r = new RequestState;
+  r->owner = this;
+  lk.lock();
+  return r;
+}
+
+void Endpoint::recycle(RequestState* r) {
+  std::lock_guard<support::SpinLock> lk(mu_);
+  r->next_free_ = free_;
+  free_ = r;
+}
+
+void Endpoint::wake_waiters() {
+  // A parked caller registered in waiters_ before its last check under the
+  // lock, and that lock hand-off orders the registration before this load.
+  if (waiters_.load(std::memory_order_relaxed) == 0) return;
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
+}
+
+template <typename Ready>
+void Endpoint::block_until(Ready ready) {
+  waiters_.fetch_add(1, std::memory_order_relaxed);
+  for (;;) {
+    // Read the epoch before checking: a completion after the check bumps it,
+    // so the wait below returns at once instead of missing the wake-up.
+    const std::uint32_t seen = epoch_.load(std::memory_order_acquire);
+    {
+      std::lock_guard<support::SpinLock> lk(mu_);
+      if (ready()) break;
+    }
+    epoch_.wait(seen, std::memory_order_acquire);
+  }
+  waiters_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void Endpoint::complete_recv_locked(RequestState& r, const Envelope& env) {
   std::size_t n = env.payload.size();
   r.status.source = env.source;
   r.status.tag = env.tag;
@@ -47,56 +123,101 @@ void Endpoint::complete_recv_locked(const Request& req, Envelope& env) {
 }
 
 void Endpoint::deliver(Envelope&& env) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (env.ts_inject != 0) {
-    delivered_counter().add();
-    std::uint64_t now = support::trace::now_ns();
-    if (now >= env.ts_inject)
-      inject_to_delivery_hist().add(double(now - env.ts_inject));
-  }
-  for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-    if (matches(**it, env)) {
-      Request req = *it;
-      posted_.erase(it);
-      complete_recv_locked(req, env);
-      cv_.notify_all();
-      return;
+  const std::uint64_t ts = env.ts_inject;
+  Request matched;  // dropped after the lock: a last unref recycles under it
+  {
+    std::lock_guard<support::SpinLock> lk(mu_);
+    for (std::size_t i = 0; i < posted_.size(); ++i) {
+      if (matches(*posted_[i], env)) {
+        matched = posted_.take(i);
+        complete_recv_locked(*matched, env);
+        break;
+      }
+    }
+    if (!matched) {
+      unexpected_.push_back(std::move(env));
+      unexpected_hw_ =
+          std::max(unexpected_hw_, std::uint64_t(unexpected_.size()));
     }
   }
-  unexpected_.push_back(std::move(env));
-  unexpected_hw_ = std::max(unexpected_hw_, std::uint64_t(unexpected_.size()));
-  cv_.notify_all();  // wake blocking probes
+  wake_waiters();  // a completed wait, or an arrival for a blocking probe
+  if (ts != 0) {
+    delivered_counter().add();
+    add_since(inject_to_delivery_hist(), ts);
+    if (matched) add_since(inject_to_completion_hist(), ts);
+  }
 }
 
-void Endpoint::post_recv(const Request& req) {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
-    if (matches(*req, *it)) {
-      Envelope env = std::move(*it);
-      unexpected_.erase(it);
-      complete_recv_locked(req, env);
-      cv_.notify_all();
-      return;
+Request Endpoint::post_recv(void* buf, std::size_t cap, int source, int tag,
+                            std::uint32_t context) {
+  Envelope env;  // a matched unexpected message; freed after the lock
+  bool matched = false;
+  Request req;
+  {
+    std::unique_lock<support::SpinLock> lk(mu_);
+    RequestState* r = take_state(lk);
+    r->kind = ReqKind::kRecv;
+    r->status = Status{};
+    r->recv_buf = buf;
+    r->recv_cap = cap;
+    r->match_source = source;
+    r->match_tag = tag;
+    r->context = context;
+    r->state.store(ReqState::kPending, std::memory_order_relaxed);
+    req = Request(r);
+    for (std::size_t i = 0; i < unexpected_.size(); ++i) {
+      if (matches(*r, unexpected_[i])) {
+        env = unexpected_.take(i);
+        complete_recv_locked(*r, env);
+        matched = true;
+        break;
+      }
     }
+    if (!matched) posted_.push_back(Request(req));
   }
-  posted_.push_back(req);
+  if (matched && env.ts_inject != 0) {
+    add_since(inject_to_completion_hist(), env.ts_inject);
+  }
+  return req;
+}
+
+Request Endpoint::completed_send(const Status& st) {
+  RequestState* r;
+  {
+    std::unique_lock<support::SpinLock> lk(mu_);
+    r = take_state(lk);
+  }
+  r->kind = ReqKind::kSend;
+  r->status = st;
+  r->recv_buf = nullptr;
+  r->recv_cap = 0;
+  r->state.store(ReqState::kComplete, std::memory_order_release);
+  return Request(r);
 }
 
 bool Endpoint::cancel_recv(const Request& req) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = std::find(posted_.begin(), posted_.end(), req);
-  if (it == posted_.end()) return false;
-  posted_.erase(it);
-  req->status.cancelled = true;
-  req->status.error = ErrorCode::kCancelled;
-  req->state.store(ReqState::kCancelled, std::memory_order_release);
-  cv_.notify_all();
+  Request cancelled;  // posted_'s reference, dropped after the lock
+  {
+    std::lock_guard<support::SpinLock> lk(mu_);
+    for (std::size_t i = 0; i < posted_.size(); ++i) {
+      if (posted_[i] == req) {
+        cancelled = posted_.take(i);
+        break;
+      }
+    }
+    if (!cancelled) return false;
+    req->status.cancelled = true;
+    req->status.error = ErrorCode::kCancelled;
+    req->state.store(ReqState::kCancelled, std::memory_order_release);
+  }
+  wake_waiters();
   return true;
 }
 
-bool Endpoint::iprobe(int source, int tag, std::uint32_t context, Status* st) {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const Envelope& e : unexpected_) {
+bool Endpoint::probe_locked(int source, int tag, std::uint32_t context,
+                            Status* st) {
+  for (std::size_t i = 0; i < unexpected_.size(); ++i) {
+    const Envelope& e = unexpected_[i];
     bool ok = e.context == context &&
               (source == kAnySource || source == e.source) &&
               (tag == kAnyTag || tag == e.tag);
@@ -113,41 +234,32 @@ bool Endpoint::iprobe(int source, int tag, std::uint32_t context, Status* st) {
   return false;
 }
 
+bool Endpoint::iprobe(int source, int tag, std::uint32_t context, Status* st) {
+  std::lock_guard<support::SpinLock> lk(mu_);
+  return probe_locked(source, tag, context, st);
+}
+
 void Endpoint::probe(int source, int tag, std::uint32_t context, Status* st) {
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    for (const Envelope& e : unexpected_) {
-      bool ok = e.context == context &&
-                (source == kAnySource || source == e.source) &&
-                (tag == kAnyTag || tag == e.tag);
-      if (ok) {
-        if (st != nullptr) {
-          st->source = e.source;
-          st->tag = e.tag;
-          st->count_bytes = e.payload.size();
-          st->error = ErrorCode::kOk;
-        }
-        return;
-      }
-    }
-    cv_.wait(lk);
-  }
+  block_until([&] { return probe_locked(source, tag, context, st); });
 }
 
 void Endpoint::wait_request(const Request& req) {
   if (req->done()) return;
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [&] { return req->done(); });
+  block_until([&] { return req->done(); });
 }
 
 std::size_t Endpoint::wait_any(const std::vector<Request>& reqs) {
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
+  std::size_t found = 0;
+  block_until([&] {
     for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (reqs[i] && reqs[i]->done()) return i;
+      if (reqs[i] && reqs[i]->done()) {
+        found = i;
+        return true;
+      }
     }
-    cv_.wait(lk);
-  }
+    return false;
+  });
+  return found;
 }
 
 }  // namespace smpi

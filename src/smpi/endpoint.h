@@ -3,34 +3,114 @@
 // with wildcards, FIFO per channel, posted entries matched in post order.
 // Every envelope arrives exactly once: World::deliver guarantees it on both
 // transports, so the endpoint keeps no duplicate filter of its own.
+//
+// Both queues and the request pool sit under one spin lock, held only to
+// match, copy at most a posted receive's bytes and link or unlink an entry:
+// nothing is allocated or freed under it once the queues have reached their
+// high-water capacity. Blocking calls count themselves in `waiters_` and
+// park on the atomic word `epoch_`, which a completion bumps and notifies
+// only when some thread is parked, so a delivery makes no syscall otherwise.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "smpi/request.h"
 #include "smpi/types.h"
+#include "support/spin.h"
 
 namespace smpi {
+
+// The bytes of one message: up to kInlineBytes stored in place, so a small
+// message needs no heap buffer; larger ones (DDDF batches) get one.
+class Payload {
+ public:
+  static constexpr std::size_t kInlineBytes = 64;
+
+  Payload() = default;
+  Payload(Payload&& o) noexcept { *this = std::move(o); }
+  Payload& operator=(Payload&& o) noexcept;
+
+  void assign(const void* src, std::size_t n);
+  const std::uint8_t* data() const {
+    return heap_ ? heap_.get() : inline_;
+  }
+  std::size_t size() const { return size_; }
+
+ private:
+  std::size_t size_ = 0;
+  std::unique_ptr<std::uint8_t[]> heap_;
+  std::uint8_t inline_[kInlineBytes];
+};
 
 struct Envelope {
   int source = 0;
   int tag = 0;
   std::uint32_t context = 0;
-  std::vector<std::uint8_t> payload;
 
   // Injection timestamp (trace epoch ns), stamped in isend only while prof
   // telemetry is on; 0 otherwise. Feeds the injection-to-delivery and
   // injection-to-completion latency histograms at the endpoint.
   std::uint64_t ts_inject = 0;
+
+  Payload payload;
 };
+
+namespace detail {
+// FIFO over a vector that keeps its storage: taking the front advances a
+// head index and the dead prefix is compacted in place, so a steady stream
+// allocates nothing once the vector has reached its high-water capacity.
+template <typename T>
+class Fifo {
+ public:
+  std::size_t size() const { return v_.size() - head_; }
+  T& operator[](std::size_t i) { return v_[head_ + i]; }
+  const T& operator[](std::size_t i) const { return v_[head_ + i]; }
+
+  void push_back(T&& x) {
+    if (head_ > 0 && v_.size() == v_.capacity()) {
+      v_.erase(v_.begin(), v_.begin() + std::ptrdiff_t(head_));
+      head_ = 0;
+    }
+    v_.push_back(std::move(x));
+  }
+
+  // Removes and returns element i, keeping the others in order.
+  T take(std::size_t i) {
+    T x = std::move(v_[head_ + i]);
+    if (i == 0) {
+      if (++head_ == v_.size()) {
+        v_.clear();
+        head_ = 0;
+      }
+    } else {
+      v_.erase(v_.begin() + std::ptrdiff_t(head_ + i));
+    }
+    return x;
+  }
+
+  void clear() {
+    v_.clear();
+    head_ = 0;
+  }
+
+ private:
+  std::vector<T> v_;
+  std::size_t head_ = 0;
+};
+}  // namespace detail
 
 class Endpoint {
  public:
   explicit Endpoint(int rank) : rank_(rank) {}
+  ~Endpoint();
+
+  Endpoint(const Endpoint&) = delete;
+  Endpoint& operator=(const Endpoint&) = delete;
 
   int rank() const { return rank_; }
 
@@ -38,9 +118,13 @@ class Endpoint {
   // the oldest compatible posted receive or lands in the unexpected queue.
   void deliver(Envelope&& env);
 
-  // Receiver side: post a receive request. If an unexpected message already
-  // matches, the request completes immediately.
-  void post_recv(const Request& req);
+  // Receiver side: posts a receive on this endpoint. If an unexpected
+  // message already matches, the request completes immediately.
+  Request post_recv(void* buf, std::size_t cap, int source, int tag,
+                    std::uint32_t context);
+
+  // A send request from this endpoint's pool, complete with `st`.
+  Request completed_send(const Status& st);
 
   // Cancel a pending posted receive. True if it was still pending here.
   bool cancel_recv(const Request& req);
@@ -50,7 +134,7 @@ class Endpoint {
   // Blocking probe.
   void probe(int source, int tag, std::uint32_t context, Status* st);
 
-  // Blocks until req->done(). (Completions signal the condition variable.)
+  // Blocks until req->done().
   void wait_request(const Request& req);
 
   // Blocks until any request in the span completes; returns its index.
@@ -60,20 +144,35 @@ class Endpoint {
   std::uint64_t unexpected_high_water() const { return unexpected_hw_; }
 
  private:
+  friend struct RequestState;  // unref() returns states through recycle()
+
   static bool matches(const RequestState& r, const Envelope& e) {
     return r.context == e.context &&
            (r.match_source == kAnySource || r.match_source == e.source) &&
            (r.match_tag == kAnyTag || r.match_tag == e.tag);
   }
 
-  void complete_recv_locked(const Request& req, Envelope& env);
+  // Pops a pooled state; with the pool empty, allocates one with the lock
+  // released. `lk` is held on entry and on return.
+  RequestState* take_state(std::unique_lock<support::SpinLock>& lk);
+  void recycle(RequestState* r);
+  void complete_recv_locked(RequestState& r, const Envelope& env);
+  bool probe_locked(int source, int tag, std::uint32_t context, Status* st);
+  // Parks the caller until ready() — evaluated under the lock — holds.
+  template <typename Ready>
+  void block_until(Ready ready);
+  // After a completion or an arrival: wakes parked callers, if any.
+  void wake_waiters();
 
   const int rank_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Request> posted_;
-  std::deque<Envelope> unexpected_;
+  support::SpinLock mu_;
+  detail::Fifo<Request> posted_;
+  detail::Fifo<Envelope> unexpected_;
+  RequestState* free_ = nullptr;  // pooled request states
   std::uint64_t unexpected_hw_ = 0;
+
+  alignas(64) std::atomic<std::uint32_t> waiters_{0};
+  std::atomic<std::uint32_t> epoch_{0};
 };
 
 }  // namespace smpi

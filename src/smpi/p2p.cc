@@ -26,22 +26,19 @@ Request Comm::isend(const void* buf, std::size_t bytes, int dest, int tag) {
   env.source = rank_;
   env.tag = tag;
   env.context = context_;
-  env.payload.resize(bytes);
-  if (bytes > 0) std::memcpy(env.payload.data(), buf, bytes);
+  env.payload.assign(buf, bytes);
   if (prof::telemetry()) env.ts_inject = support::trace::now_ns();
   ErrorCode wire = wire_deliver(dest, std::move(env));
 
   // Eager/buffered mode: the payload is out of the user buffer, so the send
   // completes now — with the wire's verdict in the status (kRankDead when
   // the peer fail-stopped; delivery errors are otherwise retried away).
-  auto req = std::make_shared<RequestState>();
-  req->kind = ReqKind::kSend;
-  req->status.source = rank_;
-  req->status.tag = tag;
-  req->status.count_bytes = wire == ErrorCode::kOk ? bytes : 0;
-  req->status.error = wire;
-  req->state.store(ReqState::kComplete, std::memory_order_release);
-  return req;
+  Status st;
+  st.source = rank_;
+  st.tag = tag;
+  st.count_bytes = wire == ErrorCode::kOk ? bytes : 0;
+  st.error = wire;
+  return endpoint(rank_).completed_send(st);
 }
 
 Request Comm::irecv(void* buf, std::size_t cap, int source, int tag) {
@@ -53,16 +50,7 @@ Request Comm::irecv(void* buf, std::size_t cap, int source, int tag) {
 
 Request Comm::post_recv(void* buf, std::size_t cap, int source, int tag,
                         std::uint32_t context) {
-  auto req = std::make_shared<RequestState>();
-  req->kind = ReqKind::kRecv;
-  req->recv_buf = buf;
-  req->recv_cap = cap;
-  req->match_source = source;
-  req->match_tag = tag;
-  req->context = context;
-  req->owner = &endpoint(rank_);
-  endpoint(rank_).post_recv(req);
-  return req;
+  return endpoint(rank_).post_recv(buf, cap, source, tag, context);
 }
 
 void Comm::send(const void* buf, std::size_t bytes, int dest, int tag) {

@@ -145,8 +145,7 @@ void World::net_ingest(net::Frame&& f) {
   env.source = source;
   env.tag = tag;
   env.context = context;
-  env.payload.assign(f.payload.begin() + std::ptrdiff_t(rd.off),
-                     f.payload.end());
+  env.payload.assign(f.payload.data() + rd.off, f.payload.size() - rd.off);
   env.ts_inject = ts;
   endpoint(dst_w).deliver(std::move(env));
 }
@@ -170,7 +169,8 @@ ErrorCode World::deliver(int src, int dst, Envelope&& env) {
     // Trace epochs differ across real processes; only loopback timestamps
     // are comparable end to end.
     net::put_u64(f.payload, net_->launched ? 0 : env.ts_inject);
-    f.payload.insert(f.payload.end(), env.payload.begin(), env.payload.end());
+    f.payload.insert(f.payload.end(), env.payload.data(),
+                     env.payload.data() + env.payload.size());
     switch (net_->fabric_for(src).send(net_->proc_of(dst), f)) {
       case net::Fabric::SendResult::kOk:
         return ErrorCode::kOk;

@@ -1,69 +1,78 @@
-// Vyukov-style unbounded lock-free multi-producer single-consumer queue.
+// Vyukov-style intrusive lock-free multi-producer single-consumer queue.
 //
 // This is the communication worker's worklist (paper §III: "a worklist of
 // communication tasks implemented as a lock-free queue"): any computation
 // worker enqueues communication tasks; only the communication worker dequeues.
+//
+// Intrusive: an element carries its own link (it derives from MpscNode), so a
+// push allocates nothing. The queue never owns its elements, and an element
+// may sit in at most one queue at a time; once popped it may be pushed again.
 #pragma once
 
 #include <atomic>
-#include <utility>
+#include <type_traits>
 
 namespace support {
 
+struct MpscNode {
+  std::atomic<MpscNode*> mpsc_next{nullptr};
+};
+
 template <typename T>
 class MpscQueue {
+  static_assert(std::is_base_of_v<MpscNode, T>,
+                "MpscQueue elements carry their link: derive from MpscNode");
+
  public:
-  MpscQueue() {
-    Node* stub = new Node();
-    head_.store(stub, std::memory_order_relaxed);
-    tail_ = stub;
-  }
+  MpscQueue() : head_(&stub_), tail_(&stub_) {}
 
   MpscQueue(const MpscQueue&) = delete;
   MpscQueue& operator=(const MpscQueue&) = delete;
 
-  ~MpscQueue() {
-    Node* n = tail_;
-    while (n != nullptr) {
-      Node* next = n->next.load(std::memory_order_relaxed);
-      delete n;
-      n = next;
-    }
-  }
-
   // Any thread.
-  void push(T value) {
-    Node* n = new Node(std::move(value));
-    Node* prev = head_.exchange(n, std::memory_order_acq_rel);
-    prev->next.store(n, std::memory_order_release);
-  }
+  void push(T* item) { push_node(item); }
 
-  // Consumer only. Returns false when the queue is (momentarily) empty.
-  bool pop(T& out) {
-    Node* tail = tail_;
-    Node* next = tail->next.load(std::memory_order_acquire);
-    if (next == nullptr) return false;
-    out = std::move(next->value);
+  // Consumer only. Returns null when the queue is empty, or while the only
+  // remaining push has swapped the head but not yet linked its node (the
+  // element shows up on a later call).
+  T* pop() {
+    MpscNode* tail = tail_;
+    MpscNode* next = tail->mpsc_next.load(std::memory_order_acquire);
+    if (tail == &stub_) {
+      if (next == nullptr) return nullptr;
+      tail_ = next;
+      tail = next;
+      next = next->mpsc_next.load(std::memory_order_acquire);
+    }
+    if (next != nullptr) {
+      tail_ = next;
+      return static_cast<T*>(tail);
+    }
+    if (tail != head_.load(std::memory_order_acquire)) return nullptr;
+    // `tail` is the last element: park the stub behind it so it can leave.
+    push_node(&stub_);
+    next = tail->mpsc_next.load(std::memory_order_acquire);
+    if (next == nullptr) return nullptr;
     tail_ = next;
-    delete tail;
-    return true;
+    return static_cast<T*>(tail);
   }
 
   // Consumer only; approximate (a concurrent push may be mid-flight).
   bool empty_approx() const {
-    return tail_->next.load(std::memory_order_acquire) == nullptr;
+    return tail_ == &stub_ &&
+           stub_.mpsc_next.load(std::memory_order_acquire) == nullptr;
   }
 
  private:
-  struct Node {
-    Node() = default;
-    explicit Node(T v) : value(std::move(v)) {}
-    std::atomic<Node*> next{nullptr};
-    T value{};
-  };
+  void push_node(MpscNode* n) {
+    n->mpsc_next.store(nullptr, std::memory_order_relaxed);
+    MpscNode* prev = head_.exchange(n, std::memory_order_acq_rel);
+    prev->mpsc_next.store(n, std::memory_order_release);
+  }
 
-  alignas(64) std::atomic<Node*> head_;  // producers
-  alignas(64) Node* tail_;               // consumer
+  MpscNode stub_;
+  alignas(64) std::atomic<MpscNode*> head_;  // producers
+  alignas(64) MpscNode* tail_;               // consumer
 };
 
 }  // namespace support

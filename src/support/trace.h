@@ -38,7 +38,7 @@ enum class Ev : std::uint8_t {
   kTaskSpawn,     // instant; a task was pushed onto this worker's deque
   kTaskStart,     // span begin (nests across help-first waiting)
   kTaskEnd,       // span end
-  kStealAttempt,  // instant; one full victim scan began
+  kStealAttempt,  // instant; a = victim slot that passed the depth filter
   kStealSuccess,  // instant; a = victim slot index
   kIdleBegin,     // span begin; no work found anywhere, worker parks
   kIdleEnd,       // span end

@@ -1,0 +1,165 @@
+// Heap allocations on the small-message path, counted by replacing the
+// global operator new (hence this suite's own binary). Counts are taken in
+// steady state, after a warm-up has grown every pool to its high-water mark
+// — comm-task slots with their requests, smpi request states, the endpoint
+// queues and the workers' task slabs — so they are the per-message cost.
+// The fault plane is disarmed and the thread transport forced: an armed
+// plane or the socket wire allocate for reasons of their own. The suite is
+// built only without hc-check, whose hooks allocate on every event.
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "core/api.h"
+#include "core/ddf.h"
+#include "dddf/space.h"
+#include "fault/fault.h"
+#include "hcmpi/context.h"
+#include "net/boot.h"
+#include "smpi/world.h"
+
+namespace {
+std::atomic<std::uint64_t> g_news{0};
+// Allocations of exactly g_watch_bytes bytes (0 = none watched).
+std::atomic<std::size_t> g_watch_bytes{0};
+std::atomic<std::uint64_t> g_watched{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  if (n == g_watch_bytes.load(std::memory_order_relaxed)) {
+    g_watched.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler does not pair an inlined free() with new.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
+namespace {
+
+constexpr int kWindow = 64;
+constexpr int kWarmWindows = 40;
+constexpr int kCountedWindows = 400;  // 25,600 stream messages
+constexpr int kStreamTag = 1, kAckTag = 2;
+constexpr int kValues = 1000;       // DDDF values served
+constexpr std::size_t kBytes = 777;  // bytes per served value
+
+enum class Completion { kWait, kAwait };
+
+// One window of the message-rate stream: rank 0 isends kWindow 8-byte
+// messages inside a finish and waits for an ack; rank 1 completes each
+// receive through Context::wait or through a DDT awaiting its request.
+void window(hcmpi::Context& ctx, Completion how) {
+  std::uint64_t buf[kWindow] = {};
+  std::uint8_t ack = 0;
+  if (ctx.rank() == 0) {
+    hc::finish([&] {
+      for (int i = 0; i < kWindow; ++i) {
+        ctx.isend(&buf[i], sizeof buf[i], 1, kStreamTag);
+      }
+    });
+    ctx.recv(&ack, sizeof ack, 1, kAckTag);
+    return;
+  }
+  if (how == Completion::kWait) {
+    hcmpi::RequestHandle rs[kWindow];
+    for (int i = 0; i < kWindow; ++i) {
+      rs[i] = ctx.irecv(&buf[i], sizeof buf[i], 0, kStreamTag);
+    }
+    for (auto& r : rs) ctx.wait(r);
+  } else {
+    std::atomic<int> got{0};
+    hc::finish([&] {
+      for (int i = 0; i < kWindow; ++i) {
+        hcmpi::RequestHandle r =
+            ctx.irecv(&buf[i], sizeof buf[i], 0, kStreamTag);
+        // The closure captures one reference, so std::function keeps it
+        // inline; what this allocates is the deps vector and the frame.
+        hc::async_await({r.get()}, [&got] { got.fetch_add(1); });
+      }
+    });
+    EXPECT_EQ(got.load(), kWindow);
+  }
+  ctx.send(&ack, sizeof ack, 0, kAckTag);
+}
+
+// Allocations per message (stream messages and acks) over the counted
+// windows, both ranks and every thread of the process together.
+double allocations_per_message(Completion how) {
+  fault::reset();
+  net::set_mode(net::Mode::kThread);
+  std::uint64_t start = 0, end = 0;
+  smpi::World::run(2, [&](smpi::Comm& comm) {
+    hcmpi::Context ctx(comm, {.num_workers = 1});
+    ctx.run([&] {
+      for (int w = 0; w < kWarmWindows; ++w) window(ctx, how);
+      ctx.barrier();
+      if (ctx.rank() == 0) start = g_news.load();
+      for (int w = 0; w < kCountedWindows; ++w) window(ctx, how);
+      // The closing barrier's own script counts too: a handful, once.
+      ctx.barrier();
+      if (ctx.rank() == 0) end = g_news.load();
+    });
+  });
+  const double msgs = double(kCountedWindows) * (kWindow + 1);
+  const double per = double(end - start) / msgs;
+  std::printf("%llu allocations over %.0f messages: %.3f per message\n",
+              (unsigned long long)(end - start), msgs, per);
+  return per;
+}
+
+TEST(Alloc, SmallMessageCompletedByWait) {
+  EXPECT_LE(allocations_per_message(Completion::kWait), 0.5);
+}
+
+TEST(Alloc, SmallMessageCompletedByAwaitingTask) {
+  EXPECT_LE(allocations_per_message(Completion::kAwait), 2.1);
+}
+
+TEST(Alloc, ServedDddfValueIsCopiedOnceIntoTheBatch) {
+  // Rank 0 puts 1000 values of 777 bytes and serves them to rank 1. Blocks
+  // of exactly 777 bytes: the producer's 1000 puts and the consumer's 1000
+  // received values. Serving adds no copy of its own (the DATA batch and
+  // its message are sized by the batch, not by one value).
+  fault::reset();
+  net::set_mode(net::Mode::kThread);
+  g_watched.store(0);
+  g_watch_bytes.store(kBytes);
+  smpi::World::run(2, [&](smpi::Comm& comm) {
+    hcmpi::Context ctx(comm, {.num_workers = 1});
+    dddf::Space space(ctx, {.home = [](dddf::Guid) { return 0; },
+                            .size = [](dddf::Guid) { return kBytes; }});
+    ctx.run([&] {
+      std::atomic<int> seen{0};
+      hc::finish([&] {
+        for (int i = 0; i < kValues; ++i) {
+          const dddf::Guid g = dddf::Guid(i);
+          if (ctx.rank() == 0) {
+            space.put(g, dddf::Bytes(kBytes, std::uint8_t(i)));
+          } else {
+            space.async_await({g}, [&space, &seen, g] {
+              const dddf::Bytes& v = space.get(g);
+              if (v.size() == kBytes && v[0] == std::uint8_t(g)) ++seen;
+            });
+          }
+        }
+      });
+      space.finalize();
+      if (ctx.rank() == 1) {
+        EXPECT_EQ(seen.load(), kValues);
+      }
+    });
+  });
+  g_watch_bytes.store(0);
+  EXPECT_EQ(g_watched.load(), 2u * kValues);
+}
+
+}  // namespace

@@ -155,6 +155,41 @@ TEST(Hcmpi, CommTaskSlotsAreRecycled) {
   });
 }
 
+TEST(Hcmpi, RequestHandleOutlivesItsContext) {
+  // Request slots are pooled by their Context. A handle still held when the
+  // Context goes away keeps its slot, status included; dropping the last
+  // copy afterwards frees it (a use after free here is an ASan finding).
+  smpi::World::run(2, [](smpi::Comm& comm) {
+    hcmpi::RequestHandle kept;
+    hcmpi::RequestHandle bare = hcmpi::Context::request_create();
+    int got = -1;
+    {
+      hcmpi::Context ctx(comm, {.num_workers = 1});
+      ctx.run([&] {
+        int v = 77;
+        if (ctx.rank() == 0) {
+          kept = ctx.isend(&v, sizeof v, 1, 9);
+        } else {
+          kept = ctx.irecv(&got, sizeof got, 0, 9);
+        }
+        ctx.wait(kept);
+      });
+    }
+    ASSERT_TRUE(kept);
+    hcmpi::RequestHandle last = kept;
+    kept.reset();
+    ASSERT_TRUE(last->satisfied());
+    EXPECT_EQ(last->get().error, smpi::ErrorCode::kOk);
+    EXPECT_EQ(last->get().count_bytes, sizeof(int));
+    if (comm.rank() == 1) {
+      EXPECT_EQ(got, 77);
+    }
+    EXPECT_FALSE(bare->satisfied());
+    bare->put(hcmpi::Status{});
+    EXPECT_TRUE(bare->satisfied());
+  });  // `last` and `bare` are dropped here, after their Context
+}
+
 TEST(Hcmpi, ManyConcurrentMessagesThroughOneCommWorker) {
   run_hcmpi(2, 3, [](hcmpi::Context& ctx) {
     constexpr int kN = 128;

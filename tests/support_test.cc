@@ -162,42 +162,74 @@ TEST(ChaseLev, ConcurrentStealersReceiveEachItemOnce) {
 
 // --- MPSC queue ---------------------------------------------------------------
 
+struct MpscItem : support::MpscNode {
+  int v = 0;
+};
+
 TEST(Mpsc, FifoSingleProducer) {
-  support::MpscQueue<int> q;
-  for (int i = 0; i < 100; ++i) q.push(i);
-  int v;
+  support::MpscQueue<MpscItem> q;
+  std::vector<MpscItem> items(100);
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(q.pop(v));
-    EXPECT_EQ(v, i);
+    items[std::size_t(i)].v = i;
+    q.push(&items[std::size_t(i)]);
   }
-  EXPECT_FALSE(q.pop(v));
+  for (int i = 0; i < 100; ++i) {
+    MpscItem* it = q.pop();
+    ASSERT_NE(it, nullptr);
+    EXPECT_EQ(it->v, i);
+  }
+  EXPECT_EQ(q.pop(), nullptr);
+  // Popped elements carry no stale link: the queue takes them again.
+  q.push(&items[7]);
+  q.push(&items[3]);
+  EXPECT_EQ(q.pop(), &items[7]);
+  EXPECT_EQ(q.pop(), &items[3]);
+  EXPECT_EQ(q.pop(), nullptr);
 }
 
 TEST(Mpsc, EmptyApprox) {
-  support::MpscQueue<int> q;
+  support::MpscQueue<MpscItem> q;
+  MpscItem a, b;
   EXPECT_TRUE(q.empty_approx());
-  q.push(1);
+  q.push(&a);
   EXPECT_FALSE(q.empty_approx());
+  q.push(&b);
+  EXPECT_EQ(q.pop(), &a);
+  EXPECT_FALSE(q.empty_approx());
+  EXPECT_EQ(q.pop(), &b);  // the last element leaves through the stub
+  EXPECT_TRUE(q.empty_approx());
 }
 
 TEST(Mpsc, MultiProducerDeliversAll) {
-  support::MpscQueue<int> q;
+  // Three producers push disjoint items: each must come out exactly once,
+  // in push order per producer.
+  support::MpscQueue<MpscItem> q;
   constexpr int kPerThread = 5000;
+  std::vector<MpscItem> items(3 * kPerThread);
   std::vector<std::thread> producers;
   for (int p = 0; p < 3; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerThread; ++i) q.push(p * kPerThread + i);
+    producers.emplace_back([&q, &items, p] {
+      for (int i = 0; i < kPerThread; ++i) {
+        MpscItem& it = items[std::size_t(p * kPerThread + i)];
+        it.v = p * kPerThread + i;
+        q.push(&it);
+      }
     });
   }
   std::set<int> seen;
-  int v;
+  int last[3] = {-1, -1, -1};
   while (int(seen.size()) < 3 * kPerThread) {
-    if (q.pop(v)) {
-      EXPECT_TRUE(seen.insert(v).second);
+    if (MpscItem* it = q.pop()) {
+      EXPECT_TRUE(seen.insert(it->v).second);
+      int p = it->v / kPerThread;
+      EXPECT_GT(it->v, last[p]);
+      last[p] = it->v;
     }
   }
   for (auto& t : producers) t.join();
   EXPECT_EQ(seen.size(), std::size_t(3 * kPerThread));
+  EXPECT_EQ(q.pop(), nullptr);
+  EXPECT_TRUE(q.empty_approx());
 }
 
 // --- SPSC ring ------------------------------------------------------------------

@@ -344,6 +344,10 @@ TEST(TraceExport, DddfEventsReachTrace) {
   });
   bool get_issued = false, served = false, data = false;
   for (const auto& t : trace::Collector::global().tracks()) {
+    // A wrapped ring loses its oldest events, the early kDddfGetIssued
+    // among them; name the track that overflowed.
+    EXPECT_EQ(t.dropped, 0u) << t.name << " of rank " << t.pid
+                             << " overflowed its ring";
     for (const auto& e : t.events) {
       get_issued |= e.kind == trace::Ev::kDddfGetIssued;
       served |= e.kind == trace::Ev::kDddfServed;
