@@ -372,8 +372,7 @@ void on_ddf_get(const hc::DdfBase* ddf) {
   }
 }
 
-void on_await_release(hc::Task* task,
-                      const std::vector<hc::DdfBase*>& deps) {
+void on_await_release(hc::Task* task, std::span<hc::DdfBase* const> deps) {
   if (!enabled() || task == nullptr) return;
   Checker& c = C();
   std::lock_guard<std::mutex> lk(c.mu);

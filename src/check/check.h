@@ -32,9 +32,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace hc {
 struct Task;
@@ -183,7 +183,7 @@ void on_ddf_put(const hc::DdfBase* ddf);
 void on_ddf_get(const hc::DdfBase* ddf);
 // A DDT released by its await clause: join every satisfied dep's put clock
 // into the task's strand before it is scheduled.
-void on_await_release(hc::Task* task, const std::vector<hc::DdfBase*>& deps);
+void on_await_release(hc::Task* task, std::span<hc::DdfBase* const> deps);
 void on_ddf_destroy(const hc::DdfBase* ddf);
 
 // Phaser edges: signals merge into the phaser's cumulative signal clock;
@@ -233,7 +233,7 @@ inline std::uint32_t on_task_begin(std::uint32_t) { return 0; }
 inline void on_task_end(const hc::FinishScope*, std::uint32_t) {}
 inline void on_ddf_put(const hc::DdfBase*) {}
 inline void on_ddf_get(const hc::DdfBase*) {}
-inline void on_await_release(hc::Task*, const std::vector<hc::DdfBase*>&) {}
+inline void on_await_release(hc::Task*, std::span<hc::DdfBase* const>) {}
 inline void on_ddf_destroy(const hc::DdfBase*) {}
 inline void on_phaser_signal(const void*, std::uint64_t) {}
 inline void on_phaser_wait(const void*, std::uint64_t) {}

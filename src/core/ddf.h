@@ -13,7 +13,9 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <new>
 #include <stdexcept>
@@ -50,12 +52,9 @@ class DdfBase {
   // true; between claim and release it points at not-yet-constructed bytes.
   void* raw_value() const { return value_.load(std::memory_order_acquire); }
 
-  // Internal wait-list node; public so the await machinery (AwaitFrame,
-  // detail::register_await) can allocate them, not part of the user API.
-  struct WaitNode;
-
-  // Attempts to register node; returns false if the DDF is already satisfied
-  // (node not consumed, caller keeps ownership). Internal.
+  // Attempts to register node (task.h); returns false if the DDF is already
+  // satisfied (node not consumed, caller keeps ownership). Internal to the
+  // await machinery, not part of the user API.
   bool subscribe(WaitNode* node);
 
  protected:
@@ -89,36 +88,24 @@ class DdfBase {
   std::atomic<void*> value_{nullptr};
 };
 
-struct AwaitFrame;
-
-struct DdfBase::WaitNode {
-  WaitNode* next = nullptr;
-  AwaitFrame* frame = nullptr;
-};
-
-// One pending DDT: the task plus its dependence list. AND frames register on
-// one unsatisfied DDF at a time and advance on each trigger, so they carry
-// their one wait node; OR frames register on all DDFs, with a heap node
-// each, and race on the token bit.
+// One pending OR await (async_await_any): the task plus its dependence
+// list. It registers on every DDF at once, with a heap node each, and the
+// puts race on the token bit; the frame lives until its last node is
+// released, which may be long after the task ran. An AND await needs none
+// of this: its frame is the task's own AndFrame (task.h).
 struct AwaitFrame {
   Task* task = nullptr;
   Runtime* rt = nullptr;
   std::vector<DdfBase*> deps;
-  std::size_t next_dep = 0;          // AND progression cursor
-  bool is_or = false;
-  std::atomic<bool> fired{false};    // OR token bit (paper Fig. 12)
+  std::atomic<bool> fired{false};    // token bit (paper Fig. 12)
   std::atomic<int> refs{1};          // outstanding WaitNodes + in-flight uses
-  DdfBase::WaitNode and_node;        // AND: the node parked on deps[next_dep]
 
   void ref() { refs.fetch_add(1, std::memory_order_relaxed); }
   void unref() {
     if (refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete this;
   }
 
-  // Advances an AND frame: registers on the next unsatisfied dep or, when
-  // none remain, schedules the task. Called by the creator and by putters.
-  void advance();
-  // Fires an OR frame at most once.
+  // Fires the frame at most once.
   void fire_once();
   // Cancels the frame: the task will never run (owning DDF destroyed first).
   void abandon();
@@ -168,24 +155,35 @@ DdfPtr<T> ddf_create() {
 }
 
 namespace detail {
-void register_await(AwaitFrame* frame);
-}
+// Copies deps[0, n) into t's AndFrame and scans them: parks the frame on the
+// first unsatisfied input, or schedules t on rt when every input is put.
+void start_await(Runtime& rt, Task* t, DdfBase* const* deps, std::size_t n);
+void register_await_any(AwaitFrame* frame);
+}  // namespace detail
 
-// Spawns fn as a DDT gated on ALL of deps (the await clause). The task
-// belongs to the current finish scope from the moment of this call, so an
-// enclosing finish waits for it even while its inputs are missing.
+// Spawns fn as a DDT gated on ALL of deps[0, n) (the await clause). The
+// pointers are copied into the task, so the caller's array may go at once.
+// The task belongs to the current finish scope from the moment of this
+// call, so an enclosing finish waits for it even while its inputs are
+// missing.
 template <typename F>
-void async_await(std::vector<DdfBase*> deps, F&& fn) {
+void async_await(DdfBase* const* deps, std::size_t n, F&& fn) {
   Runtime& rt = detail::require_runtime();
   FinishScope* fs = detail::require_finish();
   fs->inc();
-  auto* frame = new AwaitFrame;
-  frame->task = rt.create_task(std::forward<F>(fn), fs);
-  frame->task->check_strand = check::on_spawn();
-  frame->rt = &rt;
-  frame->deps = std::move(deps);
-  frame->is_or = false;
-  detail::register_await(frame);
+  Task* t = rt.create_task(std::forward<F>(fn), fs);
+  t->check_strand = check::on_spawn();
+  detail::start_await(rt, t, deps, n);
+}
+
+template <typename F>
+void async_await(std::initializer_list<DdfBase*> deps, F&& fn) {
+  async_await(deps.begin(), deps.size(), std::forward<F>(fn));
+}
+
+template <typename F>
+void async_await(const std::vector<DdfBase*>& deps, F&& fn) {
+  async_await(deps.data(), deps.size(), std::forward<F>(fn));
 }
 
 // Spawns fn gated on ANY of deps (waitany / OR list).
@@ -199,14 +197,13 @@ void async_await_any(std::vector<DdfBase*> deps, F&& fn) {
   frame->task->check_strand = check::on_spawn();
   frame->rt = &rt;
   frame->deps = std::move(deps);
-  frame->is_or = true;
-  detail::register_await(frame);
+  detail::register_await_any(frame);
 }
 
 // Convenience overloads for shared_ptr handles.
 template <typename F, typename... Ts>
 void async_await(F&& fn, const DdfPtr<Ts>&... dep) {
-  async_await(std::vector<DdfBase*>{dep.get()...}, std::forward<F>(fn));
+  async_await({static_cast<DdfBase*>(dep.get())...}, std::forward<F>(fn));
 }
 
 // Dependence-list builder mirroring the paper's Fig. 12 API:
@@ -228,11 +225,12 @@ class DdfList {
   std::size_t size() const { return deps_.size(); }
   Kind kind() const { return kind_; }
 
-  // Consumes the list (it may be reused by re-adding).
+  // Spawns fn gated on the list. The list is left as it was: it may be
+  // awaited again, or extended first.
   template <typename F>
   void async_await(F&& fn) {
     if (kind_ == Kind::kAnd) {
-      hc::async_await(deps_, std::forward<F>(fn));
+      hc::async_await(deps_.data(), deps_.size(), std::forward<F>(fn));
     } else {
       hc::async_await_any(deps_, std::forward<F>(fn));
     }

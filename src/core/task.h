@@ -1,8 +1,14 @@
 // Task and FinishScope: the two primitive objects of the Habanero-C style
 // async/finish model (paper §II-A).
 //
-// A Task is a heap-allocated closure plus the finish scope it reports to and
-// an optional place affinity. A FinishScope counts outstanding descendants;
+// A Task is a closure plus the finish scope it reports to and an optional
+// place affinity. Tasks spawned on a worker thread live in that worker's
+// slab pool (task_pool.h); only tasks created off the spawn path (external
+// threads, launch roots) are heap-allocated. A data-driven task (DDT,
+// hc::async_await) keeps its AND await frame in the task itself, so gating
+// a task on up to AndFrame::kInline inputs allocates nothing.
+//
+// A FinishScope counts outstanding descendants;
 // `finish { ... }` waits for its scope to drain. The waiting worker *helps*
 // (executes other tasks) instead of blocking, which is how the paper's
 // "continuation" semantics map onto C++ without stackful coroutines (see
@@ -22,6 +28,52 @@ class Runtime;
 class Place;
 class FinishScope;
 class TaskPool;
+class DdfBase;
+struct AwaitFrame;
+struct Task;
+
+// One entry on a DDF's wait list (ddf.h). An AND await parks the node of its
+// task's AndFrame (`task` set); an OR await parks one heap node per input,
+// each pointing at the shared heap AwaitFrame (`frame` set).
+struct WaitNode {
+  WaitNode* next = nullptr;
+  Task* task = nullptr;
+  AwaitFrame* frame = nullptr;
+};
+
+// The AND await frame of a DDT. Its one node is parked on one unsatisfied
+// input at a time, and a put on that input resumes the scan at `cursor`
+// (ddf.cc). Up to kInline inputs are held inline; more go to a heap array.
+// The frame has no reference count: the thread that finds the last input
+// satisfied schedules the task, and the slot goes back to its pool when the
+// task retires, so nobody may touch the frame after parking or scheduling.
+struct AndFrame {
+  // A Smith-Waterman tile's top, left and corner: the widest list a gated
+  // workload builds.
+  static constexpr std::uint32_t kInline = 3;
+
+  AndFrame() = default;
+  AndFrame(const AndFrame&) = delete;
+  AndFrame& operator=(const AndFrame&) = delete;
+  ~AndFrame() {
+    if (count > kInline) delete[] heap;
+  }
+
+  DdfBase* const* deps() const { return count > kInline ? heap : inline_deps; }
+
+  WaitNode node;
+  std::uint32_t count = 0;   // inputs; 0 when the task is not a DDT
+  std::uint32_t cursor = 0;  // every input before it was seen satisfied
+  union {
+    DdfBase* inline_deps[kInline] = {};
+    DdfBase** heap;
+  };
+  // The runtime to schedule on, kept here rather than read through the
+  // task's finish scope: the releasing thread then touches only the frame's
+  // cache line, not the scope's counter that the spawner and the workers
+  // keep writing.
+  Runtime* rt = nullptr;
+};
 
 struct Task {
   std::function<void()> fn;
@@ -33,6 +85,8 @@ struct Task {
   TaskPool* pool = nullptr;
   // hc-check strand id (0 = unassigned); dead weight unless HCMPI_CHECK.
   std::uint32_t check_strand = 0;
+  // Set up by hc::async_await; unused by other tasks.
+  AndFrame await;
 
   Task() = default;
   Task(std::function<void()> f, FinishScope* fs, Place* p = nullptr)

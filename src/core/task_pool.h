@@ -51,7 +51,9 @@ namespace hc {
 class TaskPool {
  public:
   static constexpr std::size_t kCacheLine = 64;
-  // Slots per slab: 256 x 128 B = 32 KiB per slab at the current Task size.
+  // Slots per slab. A slot is sizeof(Task) rounded up to a cache line: 128 B
+  // with libstdc++, the AND await frame (task.h) included, so a slab is
+  // 32 KiB.
   static constexpr std::size_t kSlabTasks = 256;
   static constexpr std::size_t kSlotSize =
       ((sizeof(Task) + kCacheLine - 1) / kCacheLine) * kCacheLine;

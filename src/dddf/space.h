@@ -92,13 +92,20 @@ class Space {
   }
 
   // async AWAIT(guids...) { fn }: spawns fn as a DDT gated on every guid,
-  // issuing remote fetches for guids homed elsewhere.
+  // issuing remote fetches for guids homed elsewhere. The task copies the
+  // handles, so a list as wide as a task holds inline goes through a stack
+  // array.
   template <typename F>
   void async_await(const std::vector<Guid>& guids, F&& fn) {
-    std::vector<hc::DdfBase*> deps;
-    deps.reserve(guids.size());
-    for (Guid g : guids) deps.push_back(request(g));
-    hc::async_await(std::move(deps), std::forward<F>(fn));
+    hc::DdfBase* inline_deps[hc::AndFrame::kInline] = {};
+    std::vector<hc::DdfBase*> wide;
+    hc::DdfBase** deps = inline_deps;
+    if (guids.size() > hc::AndFrame::kInline) {
+      wide.resize(guids.size());
+      deps = wide.data();
+    }
+    for (std::size_t i = 0; i < guids.size(); ++i) deps[i] = request(guids[i]);
+    hc::async_await(deps, guids.size(), std::forward<F>(fn));
   }
 
   // Global termination (paper §III-B): every rank calls finalize after its

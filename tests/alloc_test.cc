@@ -1,15 +1,18 @@
-// Heap allocations on the small-message path, counted by replacing the
-// global operator new (hence this suite's own binary). Counts are taken in
-// steady state, after a warm-up has grown every pool to its high-water mark
-// — comm-task slots with their requests, smpi request states, the endpoint
-// queues and the workers' task slabs — so they are the per-message cost.
+// Heap allocations on the small-message and data-driven-task paths, counted
+// by replacing the global operator new (hence this suite's own binary).
+// Counts are taken in steady state, after a warm-up has grown every pool to
+// its high-water mark — comm-task slots with their requests, smpi request
+// states, the endpoint queues, the workers' task slabs and deques — so they
+// are the per-message or per-task cost.
 // The fault plane is disarmed and the thread transport forced: an armed
 // plane or the socket wire allocate for reasons of their own. The suite is
 // built only without hc-check, whose hooks allocate on every event.
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +24,7 @@
 #include "hcmpi/context.h"
 #include "net/boot.h"
 #include "smpi/world.h"
+#include "support/spin.h"
 
 namespace {
 std::atomic<std::uint64_t> g_news{0};
@@ -82,7 +86,8 @@ void window(hcmpi::Context& ctx, Completion how) {
         hcmpi::RequestHandle r =
             ctx.irecv(&buf[i], sizeof buf[i], 0, kStreamTag);
         // The closure captures one reference, so std::function keeps it
-        // inline; what this allocates is the deps vector and the frame.
+        // inline; the braced list needs no vector, and the await frame
+        // lives in the task's pool slot.
         hc::async_await({r.get()}, [&got] { got.fetch_add(1); });
       }
     });
@@ -121,7 +126,78 @@ TEST(Alloc, SmallMessageCompletedByWait) {
 }
 
 TEST(Alloc, SmallMessageCompletedByAwaitingTask) {
-  EXPECT_LE(allocations_per_message(Completion::kAwait), 2.1);
+  EXPECT_LE(allocations_per_message(Completion::kAwait), 0.5);
+}
+
+TEST(Alloc, ThreeInputDdtPutByAnotherThreadAllocatesNothing) {
+  // The sw_dddf tile shape: each DDT awaits three DDFs (top, left, corner),
+  // and a producer thread puts them, scheduling the released DDTs onto its
+  // own deque as the communication worker does for arriving DDDF values.
+  // Even DDTs get their inputs in order, so the frame parks on each in
+  // turn; odd ones in reverse, so the last put finds the others satisfied.
+  // A batch stays under a deque's initial capacity (64), so no deque grows
+  // during the count.
+  constexpr int kBatch = 48;
+  constexpr int kWarmBatches = 40, kCountedBatches = 500;
+  constexpr int kBatches = kWarmBatches + kCountedBatches;
+  // Every input is made before anything is counted.
+  std::vector<hc::Ddf<int>> in(std::size_t(kBatches) * kBatch * 3);
+  hc::Runtime rt({.num_workers = 2});
+  std::atomic<int> spawned{-1};  // the last batch whose DDTs are registered
+  std::thread producer([&] {
+    rt.register_producer();
+    for (int b = 0; b < kBatches; ++b) {
+      while (spawned.load(std::memory_order_acquire) < b) support::cpu_relax();
+      for (int i = b * kBatch; i < (b + 1) * kBatch; ++i) {
+        for (int j = 0; j < 3; ++j) {
+          const int k = i % 2 == 0 ? j : 2 - j;
+          in[std::size_t(i) * 3 + std::size_t(k)].put(k);
+        }
+      }
+    }
+  });
+  std::uint64_t start = 0, end = 0;
+  std::atomic<int> sum{0};
+  rt.launch([&] {
+    // A worker thread registers with the profiler when it starts, which
+    // allocates, and on a loaded host one may start after the warm-up: count
+    // only once every worker has run a task.
+    auto all_started = [&rt] {
+      for (int w = 0; w < rt.num_workers(); ++w) {
+        if (rt.worker(w).tasks_executed() == 0) return false;
+      }
+      return true;
+    };
+    while (!all_started()) {
+      hc::finish([] {
+        for (int k = 0; k < 8; ++k) {
+          hc::async([] {
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+          });
+        }
+      });
+    }
+    for (int b = 0; b < kBatches; ++b) {
+      if (b == kWarmBatches) start = g_news.load();
+      hc::finish([&] {
+        for (int i = b * kBatch; i < (b + 1) * kBatch; ++i) {
+          hc::Ddf<int>* d = &in[std::size_t(i) * 3];
+          hc::async_await({&d[0], &d[1], &d[2]}, [d, &sum] {
+            sum.fetch_add(d[0].get() + d[1].get() + d[2].get(),
+                          std::memory_order_relaxed);
+          });
+        }
+        spawned.store(b, std::memory_order_release);
+      });
+    }
+    end = g_news.load();
+  });
+  producer.join();
+  EXPECT_EQ(sum.load(), kBatches * kBatch * 3);
+  const double per = double(end - start) / (double(kCountedBatches) * kBatch);
+  std::printf("%llu allocations over %d DDTs: %.3f per DDT\n",
+              (unsigned long long)(end - start), kCountedBatches * kBatch, per);
+  EXPECT_EQ(end - start, 0u);
 }
 
 TEST(Alloc, ServedDddfValueIsCopiedOnceIntoTheBatch) {

@@ -1,11 +1,17 @@
 #include <atomic>
+#include <cstdint>
+#include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/api.h"
 #include "core/ddf.h"
+#include "support/rng.h"
+#include "support/spin.h"
 
 namespace {
 
@@ -215,5 +221,123 @@ TEST_P(DdfFanoutWidth, AndListOfWidthN) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, DdfFanoutWidth,
                          ::testing::Values(1, 2, 3, 8, 33, 128));
+
+// One seeded round of DDTs with 1-5 inputs, on both sides of
+// AndFrame::kInline. The frame lives in the task's pool slot and nobody
+// holds a reference to it, so every thread that parks, advances or drops a
+// frame must leave it alone afterwards: under ASan a later touch lands in a
+// poisoned slot (task_pool.h), under TSan it is a race.
+//   - Inputs are put in a seeded order, by computation tasks spawned between
+//     the DDTs and by a producer thread (scheduling as the communication
+//     worker does) that starts while the DDTs are still being registered.
+//   - About one DDT in four is doomed: its input k is never put. Every input
+//     before k is, so the frame ends parked on k, and the producer destroys
+//     k there while the finish scope is still draining (the abandon path).
+//     Inputs after k are put or left unput by the seed.
+// Every other DDT must run exactly once and see its inputs' values; a
+// doomed one must never run, and the finish must still return.
+void frame_lifetime_round(std::uint64_t seed) {
+  constexpr int kDdts = 64;
+  constexpr int kMaxInputs = 5;
+  support::Xoshiro256 rng(seed);
+  struct Ddt {
+    std::vector<std::unique_ptr<hc::Ddf<int>>> in;
+    int doomed_at = -1;  // the input never put, or -1
+    long want = 0;
+    std::atomic<int> runs{0};
+    std::atomic<long> got{0};
+  };
+  std::vector<Ddt> ddts(kDdts);
+  struct Put {
+    hc::Ddf<int>* d;
+    int value;
+  };
+  std::vector<Put> puts;
+  for (int i = 0; i < kDdts; ++i) {
+    Ddt& t = ddts[std::size_t(i)];
+    const int n = 1 + int(rng.next_below(kMaxInputs));
+    if (rng.next_below(4) == 0) t.doomed_at = int(rng.next_below(std::uint64_t(n)));
+    for (int j = 0; j < n; ++j) {
+      t.in.push_back(std::make_unique<hc::Ddf<int>>());
+      const int v = i * 8 + j;
+      t.want += v;
+      const bool before_k = t.doomed_at < 0 || j < t.doomed_at;
+      if (before_k || (j > t.doomed_at && rng.next_below(2) == 0)) {
+        puts.push_back({t.in.back().get(), v});
+      }
+    }
+  }
+  for (std::size_t i = puts.size(); i > 1; --i) {
+    std::swap(puts[i - 1], puts[rng.next_below(i)]);
+  }
+  // Each put goes to the producer or to a task spawned after DDT `after`.
+  std::vector<Put> producer_puts;
+  std::vector<std::vector<Put>> task_puts(kDdts);
+  for (const Put& p : puts) {
+    if (rng.next_below(2) == 0) {
+      producer_puts.push_back(p);
+    } else {
+      task_puts[rng.next_below(kDdts)].push_back(p);
+    }
+  }
+
+  hc::Runtime rt({.num_workers = 3});
+  std::atomic<bool> go{false}, spawned{false};
+  std::atomic<std::size_t> puts_done{0};
+  std::thread producer([&] {
+    rt.register_producer();
+    while (!go.load(std::memory_order_acquire)) support::cpu_relax();
+    for (const Put& p : producer_puts) {
+      p.d->put(p.value);
+      puts_done.fetch_add(1, std::memory_order_acq_rel);
+    }
+    // Once every DDT is registered and every put has returned, each doomed
+    // frame is parked on its input k.
+    while (!spawned.load(std::memory_order_acquire) ||
+           puts_done.load(std::memory_order_acquire) < puts.size()) {
+      std::this_thread::yield();
+    }
+    for (Ddt& t : ddts) {
+      if (t.doomed_at >= 0) t.in[std::size_t(t.doomed_at)].reset();
+    }
+  });
+  rt.launch([&] {
+    hc::finish([&] {
+      go.store(true, std::memory_order_release);
+      for (int i = 0; i < kDdts; ++i) {
+        Ddt& t = ddts[std::size_t(i)];
+        std::vector<hc::DdfBase*> deps;
+        for (auto& d : t.in) deps.push_back(d.get());
+        hc::async_await(deps, [&t] {
+          long sum = 0;
+          for (auto& d : t.in) sum += d->get();
+          t.got.store(sum, std::memory_order_relaxed);
+          t.runs.fetch_add(1, std::memory_order_relaxed);
+        });
+        for (const Put& p : task_puts[std::size_t(i)]) {
+          hc::async([p, &puts_done] {
+            p.d->put(p.value);
+            puts_done.fetch_add(1, std::memory_order_acq_rel);
+          });
+        }
+      }
+      spawned.store(true, std::memory_order_release);
+    });
+  });
+  producer.join();
+  for (int i = 0; i < kDdts; ++i) {
+    const Ddt& t = ddts[std::size_t(i)];
+    if (t.doomed_at >= 0) {
+      EXPECT_EQ(t.runs.load(), 0) << "seed " << seed << " ddt " << i;
+    } else {
+      EXPECT_EQ(t.runs.load(), 1) << "seed " << seed << " ddt " << i;
+      EXPECT_EQ(t.got.load(), t.want) << "seed " << seed << " ddt " << i;
+    }
+  }
+}
+
+TEST(Ddf, AndFrameLifetimeUnderRacingPutsAndDrops) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) frame_lifetime_round(seed);
+}
 
 }  // namespace

@@ -155,6 +155,25 @@ TEST(DdfList, OrListFiresOnce) {
   });
 }
 
+TEST(DdfList, AwaitLeavesTheListAsItWas) {
+  hc::Runtime rt({.num_workers = 2});
+  rt.launch([&] {
+    auto x = hc::ddf_create<int>(), y = hc::ddf_create<int>();
+    std::atomic<int> fires{0};
+    hc::finish([&] {
+      hc::DdfList ddl(hc::DdfList::Kind::kAnd);
+      ddl.add(x.get());
+      ddl.add(y.get());
+      ddl.async_await([&] { fires.fetch_add(1); });
+      EXPECT_EQ(ddl.size(), 2u);
+      ddl.async_await([&] { fires.fetch_add(10); });
+      hc::async([x] { x->put(1); });
+      hc::async([y] { y->put(2); });
+    });
+    EXPECT_EQ(fires.load(), 11);
+  });
+}
+
 // --- async_future ---------------------------------------------------------------
 
 TEST(AsyncFuture, ReturnsResultThroughDdf) {
