@@ -5,8 +5,10 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <string>
 #include <vector>
 
+#include "apps/sw/sw.h"
 #include "core/api.h"
 #include "core/ddf.h"
 #include "core/phaser.h"
@@ -15,6 +17,7 @@
 #include "support/chase_lev_deque.h"
 #include "support/mpsc_queue.h"
 #include "support/observe.h"
+#include "support/rng.h"
 
 namespace {
 
@@ -114,6 +117,28 @@ void BM_SmpiPingPong(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64 * 2);
 }
 BENCHMARK(BM_SmpiPingPong)->Arg(0)->Arg(1024);
+
+// sw::compute_tile, the kernel inside every sw_dddf tile task, on perfbench's
+// 64×64 tile and a ragged 100×37 one. Sequences and boundaries are drawn at
+// run time, so nothing is folded into constants.
+void BM_SwTile(benchmark::State& state) {
+  const std::size_t h = std::size_t(state.range(0));
+  const std::size_t w = std::size_t(state.range(1));
+  const sw::Params p;
+  const std::string a = sw::random_seq(h, 1), b = sw::random_seq(w, 2);
+  support::SplitMix64 rng(3);
+  std::vector<int> top(w), left(h);
+  for (int& x : top) x = int(rng.next() % 64);
+  for (int& x : left) x = int(rng.next() % 64);
+  const int corner = int(rng.next() % 64);
+  for (auto _ : state) {
+    sw::TileBoundary t = sw::compute_tile(p, a, b, top, left, corner);
+    benchmark::DoNotOptimize(t);
+  }
+  state.counters["cells/s"] = benchmark::Counter(
+      double(h * w), benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_SwTile)->Args({64, 64})->Args({100, 37});
 
 }  // namespace
 

@@ -12,6 +12,7 @@
 //      [--hier] [--inner=16]   # hierarchical tiling (paper Fig. 23): each
 //                              # outer tile is an inner DDF wavefront
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -56,9 +57,16 @@ int main(int argc, char** argv) {
   support::Observe obs(flags);  // --trace=<file> / --metrics
   const int ranks = int(flags.get_int("ranks", 4));
   const std::size_t len = std::size_t(flags.get_int("len", 512));
-  const std::size_t tile = std::size_t(flags.get_int("tile", 64));
+  const std::int64_t tile_flag = flags.get_int("tile", 64);
   const bool hier = flags.get_bool("hier", false);
-  const std::size_t inner = std::size_t(flags.get_int("inner", 16));
+  const std::int64_t inner_flag = flags.get_int("inner", 16);
+  if (tile_flag < 1 || inner_flag < 1) {
+    std::fprintf(stderr,
+                 "smithwaterman_dddf: --tile and --inner must be at least 1\n");
+    return 2;
+  }
+  const std::size_t tile = std::size_t(tile_flag);
+  const std::size_t inner = std::size_t(inner_flag);
 
   const sw::Params params;
   const std::string a = sw::random_seq(len, 0xA11CE);

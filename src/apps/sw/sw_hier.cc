@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <stdexcept>
 
 #include "apps/sw/sw.h"
 #include "core/api.h"
@@ -18,6 +19,9 @@ TileBoundary compute_tile_hier(const Params& p, std::string_view a,
                                const std::vector<int>& top,
                                const std::vector<int>& left, int corner,
                                std::size_t inner_h, std::size_t inner_w) {
+  if (inner_h == 0 || inner_w == 0) {
+    throw std::invalid_argument("sw::compute_tile_hier: zero inner tile size");
+  }
   if (a.empty() || b.empty()) {
     return compute_tile(p, a, b, top, left, corner);
   }

@@ -1,5 +1,6 @@
-// Heap allocations on the small-message and data-driven-task paths, counted
-// by replacing the global operator new (hence this suite's own binary).
+// Heap allocations on the small-message and data-driven-task paths and in
+// the Smith–Waterman tile kernel, counted by replacing the global operator
+// new (hence this suite's own binary).
 // Counts are taken in steady state, after a warm-up has grown every pool to
 // its high-water mark — comm-task slots with their requests, smpi request
 // states, the endpoint queues, the workers' task slabs and deques — so they
@@ -12,11 +13,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "apps/sw/sw.h"
 #include "core/api.h"
 #include "core/ddf.h"
 #include "dddf/space.h"
@@ -236,6 +239,28 @@ TEST(Alloc, ServedDddfValueIsCopiedOnceIntoTheBatch) {
   });
   g_watch_bytes.store(0);
   EXPECT_EQ(g_watched.load(), 2u * kValues);
+}
+
+TEST(Alloc, SwTileAllocatesOnlyItsOutputs) {
+  // The sw_dddf tile shape. The kernel's diagonals and widened sequences
+  // live in per-thread scratch that the first call grows, so a steady-state
+  // call allocates exactly the bottom row and right column it returns.
+  constexpr std::size_t kSide = 64;
+  constexpr int kCalls = 1000;
+  const sw::Params p;
+  const std::string a = sw::random_seq(kSide, 1), b = sw::random_seq(kSide, 2);
+  const std::vector<int> top(kSide, 3), left(kSide, 5);
+  long sink = sw::compute_tile(p, a, b, top, left, 0).best;
+  const std::uint64_t start = g_news.load();
+  for (int i = 0; i < kCalls; ++i) {
+    sink += sw::compute_tile(p, a, b, top, left, i).best;
+  }
+  const std::uint64_t end = g_news.load();
+  std::printf("%llu allocations over %d tiles: %.3f per tile\n",
+              (unsigned long long)(end - start), kCalls,
+              double(end - start) / kCalls);
+  EXPECT_GT(sink, 0);
+  EXPECT_EQ(end - start, 2u * kCalls);
 }
 
 }  // namespace

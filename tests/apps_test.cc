@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "apps/sw/sw.h"
+#include "apps/sw/sw_kernel.h"
 #include "apps/uts/uts.h"
 #include "core/api.h"
 #include "sim/uts_common.h"
+#include "support/rng.h"
 
 namespace {
 
@@ -281,6 +288,112 @@ INSTANTIATE_TEST_SUITE_P(
                       HierCase{33, 33, 33, 33},  // single inner tile
                       HierCase{40, 40, 1, 40},   // strip tiles
                       HierCase{64, 32, 5, 3}));
+
+// Per-cell reference for one tile: the full (h+1)×(w+1) matrix with the
+// incoming boundaries in row and column 0, filled row by row.
+sw::TileBoundary full_matrix_tile(const sw::Params& p, std::string_view a,
+                                  std::string_view b,
+                                  const std::vector<int>& top,
+                                  const std::vector<int>& left, int corner) {
+  const std::size_t h = a.size(), w = b.size();
+  std::vector<std::vector<int>> e(h + 1, std::vector<int>(w + 1));
+  e[0][0] = corner;
+  for (std::size_t j = 0; j < w; ++j) e[0][j + 1] = top[j];
+  for (std::size_t i = 0; i < h; ++i) e[i + 1][0] = left[i];
+  sw::TileBoundary out;
+  for (std::size_t i = 1; i <= h; ++i) {
+    for (std::size_t j = 1; j <= w; ++j) {
+      const int sc = a[i - 1] == b[j - 1] ? p.match : p.mismatch;
+      e[i][j] = std::max({0, e[i - 1][j - 1] + sc, e[i - 1][j] + p.gap,
+                          e[i][j - 1] + p.gap});
+      out.best = std::max(out.best, e[i][j]);
+    }
+    out.right.push_back(e[i][w]);
+  }
+  out.bottom.assign(e[h].begin() + 1, e[h].end());
+  out.corner = e[h][w];
+  return out;
+}
+
+using TileKernel = sw::TileBoundary (*)(const sw::Params&, std::string_view,
+                                        std::string_view,
+                                        const std::vector<int>&,
+                                        const std::vector<int>&, int);
+
+// Parameter: the kernel's vector width in int32 lanes.
+class SwTileOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(SwTileOracle, EveryOutputMatchesFullMatrix) {
+  TileKernel kernel = sw::detail::compute_tile_x4;
+  if (GetParam() == 8) {
+#if defined(__x86_64__)
+    if (!sw::detail::has_avx2()) {
+      GTEST_SKIP() << "the CPU lacks AVX2, which the 8-lane kernel needs";
+    }
+    kernel = sw::detail::compute_tile_x8;
+#else
+    GTEST_SKIP() << "the 8-lane kernel is built only for x86-64";
+#endif
+  }
+  const sw::Params params[] = {{2, -1, -1}, {2, -3, -3}, {5, -4, -2},
+                               {1, -1, -2}};
+  struct Shape {
+    std::size_t h, w;
+  };
+  std::vector<Shape> shapes = {{1, 1},  {1, 13},  {1, 70}, {13, 1},
+                               {70, 1}, {300, 7}, {7, 300}, {64, 64}};
+  // Random sizes up to 70 that are not multiples of 4, so diagonals end in
+  // partial vectors of both widths.
+  support::SplitMix64 rng(19);
+  auto ragged = [&rng] {
+    std::size_t n = 0;
+    while (n % 4 == 0) n = 1 + rng.next() % 70;
+    return n;
+  };
+  for (int i = 0; i < 100; ++i) shapes.push_back({ragged(), ragged()});
+
+  for (const Shape& s : shapes) {
+    const std::string a = sw::random_seq(s.h, rng.next());
+    const std::string b = sw::random_seq(s.w, rng.next());
+    for (bool ones : {false, true}) {
+      auto draw = [&] { return ones ? 1 : int(rng.next() % 501); };
+      std::vector<int> top(s.w), left(s.h);
+      std::generate(top.begin(), top.end(), draw);
+      std::generate(left.begin(), left.end(), draw);
+      const int corner = draw();
+      for (const sw::Params& p : params) {
+        SCOPED_TRACE(::testing::Message()
+                     << s.h << "x" << s.w << " ones=" << ones << " params {"
+                     << p.match << "," << p.mismatch << "," << p.gap << "}");
+        const sw::TileBoundary want =
+            full_matrix_tile(p, a, b, top, left, corner);
+        const sw::TileBoundary got = kernel(p, a, b, top, left, corner);
+        ASSERT_EQ(got.bottom, want.bottom);
+        ASSERT_EQ(got.right, want.right);
+        ASSERT_EQ(got.corner, want.corner);
+        ASSERT_EQ(got.best, want.best);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, SwTileOracle, ::testing::Values(4, 8),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "x" + std::to_string(info.param);
+                         });
+
+TEST(Sw, ZeroTileSizeThrows) {
+  sw::Params p;
+  const std::string a = sw::random_seq(10, 1), b = sw::random_seq(12, 2);
+  EXPECT_THROW(sw::best_score_tiled(p, a, b, 0, 4), std::invalid_argument);
+  EXPECT_THROW(sw::best_score_tiled(p, a, b, 4, 0), std::invalid_argument);
+  // The check comes before the hierarchical kernel uses the runtime.
+  const std::vector<int> top(b.size(), 0), left(a.size(), 0);
+  EXPECT_THROW(sw::compute_tile_hier(p, a, b, top, left, 0, 0, 4),
+               std::invalid_argument);
+  EXPECT_THROW(sw::compute_tile_hier(p, a, b, top, left, 0, 4, 0),
+               std::invalid_argument);
+}
 
 TEST(Sw, ScoringParamsChangeResults) {
   std::string a = sw::random_seq(80, 1), b = sw::random_seq(80, 2);
