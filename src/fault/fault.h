@@ -16,11 +16,11 @@
 //     wire (net::Fabric's transmit point) really drops, duplicates and
 //     delays frames; its acks, RTO retransmission and Reorderer repair
 //     them, and that Reorderer is the only duplicate filter in the stack.
-//     The in-memory channels — thread-mode smpi delivery (all hcmpi p2p,
-//     collective and DDDF protocol traffic) and the AmBus mailboxes —
-//     cannot lose or duplicate anything, so there an injected fault only
-//     makes the message late (`cross_in_memory`). Request deadlines in
-//     hcmpi and the deadlined finalize barriers sit above both.
+//     The in-memory channel — thread-mode smpi delivery, which carries all
+//     hcmpi p2p, collective and DDDF protocol traffic — cannot lose or
+//     duplicate anything, so there an injected fault only makes the message
+//     late (`cross_in_memory`). Request deadlines in hcmpi and the deadlined
+//     DDDF finalize barrier sit above both.
 //   * A stall-watchdog configuration read by the hcmpi communication worker,
 //     plus a process-wide diagnostics registry so subsystems (the DDDF
 //     space) can contribute state dumps when the watchdog fires.
@@ -68,7 +68,7 @@ struct Config {
   // tasks sit ACTIVE with no lifecycle transition for this long. 0 = off.
   std::uint64_t watchdog_ms = 0;
 
-  // Default deadline for Space::finalize / Transport::finalize_barrier.
+  // Default deadline for Space::finalize.
   // 0 = wait forever (the pre-fault behavior).
   std::uint64_t finalize_timeout_ms = 0;
 };

@@ -13,7 +13,7 @@ RequestHandle Context::submit_collective(smpi::CollScript script) {
   t->finish = nullptr;
   RequestHandle req(&t->request);
   // Linked like p2p requests so a deadlined finalize barrier is cancellable
-  // (Transport::finalize_barrier timeout; see the kCancel path).
+  // (Space::finalize timeout; see the kCancel path).
   req->task.store(t, std::memory_order_release);
   req->task_gen.store(t->gen.load(std::memory_order_acquire),
                       std::memory_order_release);

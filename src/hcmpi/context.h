@@ -141,15 +141,15 @@ class Context {
   void submit(CommTask* t);
   // Runs fn on the communication worker thread with the system
   // communicator, as a first-class communication task: joins the enclosing
-  // finish scope and completes the returned request when fn returns. The
-  // basis of the asynchronous RMA operations (hcmpi/rma.h).
+  // finish scope and completes the returned request when fn returns (the
+  // DDDF space drains its outbox this way at teardown).
   RequestHandle post_exec_async(std::function<void(smpi::Comm&)> fn);
   // Registers a progress poller called every communication-worker iteration
   // (DDDF listener). Must be installed before traffic starts.
   void set_poller(std::function<bool(smpi::Comm&)> poller);
   // Detaches the poller with a handshake on the communication worker: once
   // this returns, no poller call is in flight and none will start, so the
-  // owner (the DDDF transport) can safely destroy the state it polls into.
+  // owner (the DDDF space) can safely destroy the state it polls into.
   void clear_poller();
   // Enqueues a non-blocking barrier/allreduce on the system communicator;
   // the returned request is put when it completes. It joins no finish

@@ -533,12 +533,18 @@ std::string speedscope_json() {
     if (i) out += ",";
     out += "{\"type\":\"sampled\",\"name\":\"";
     json_escape(out, p.name);
-    out += "\",\"unit\":\"none\",\"startValue\":0,\"endValue\":" +
-           std::to_string(p.total) + ",\"samples\":[";
+    // Appended piece by piece: GCC 12 at -O3 warns (-Wrestrict) on
+    // `"literal" + std::to_string(...)`.
+    out += "\",\"unit\":\"none\",\"startValue\":0,\"endValue\":";
+    out += std::to_string(p.total);
+    out += ",\"samples\":[";
     for (std::size_t j = 0; j < p.stacks.size(); ++j) {
       if (j) out += ",";
-      out += "[" + std::to_string(p.stacks[j][0]) + "," +
-             std::to_string(p.stacks[j][1]) + "]";
+      out += "[";
+      out += std::to_string(p.stacks[j][0]);
+      out += ",";
+      out += std::to_string(p.stacks[j][1]);
+      out += "]";
     }
     out += "],\"weights\":[";
     for (std::size_t j = 0; j < p.weights.size(); ++j) {

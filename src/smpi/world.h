@@ -21,8 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "net/frame.h"
@@ -80,25 +78,6 @@ class World {
   // Creates the rank's view of COMM_WORLD (context 0).
   Comm comm(int rank);
 
-  // In-process object exchange for collectively created shared state
-  // (RMA windows): one rank stashes a shared_ptr under a fresh id, the
-  // others fetch it after learning the id via bcast.
-  std::uint32_t stash_put(std::shared_ptr<void> obj) {
-    std::lock_guard<std::mutex> lk(stash_mu_);
-    std::uint32_t id = stash_counter_++;
-    stash_[id] = std::move(obj);
-    return id;
-  }
-  std::shared_ptr<void> stash_get(std::uint32_t id) {
-    std::lock_guard<std::mutex> lk(stash_mu_);
-    auto it = stash_.find(id);
-    return it == stash_.end() ? nullptr : it->second;
-  }
-  void stash_erase(std::uint32_t id) {
-    std::lock_guard<std::mutex> lk(stash_mu_);
-    stash_.erase(id);
-  }
-
   // --- socket-transport plumbing (no-ops in thread mode) ---------------------
 
   // Graceful fabric teardown: flush, then exchange goodbyes (ours flagged
@@ -123,9 +102,6 @@ class World {
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   ThreadLevel level_;
   std::atomic<std::uint32_t> context_counter_{1};
-  std::mutex stash_mu_;
-  std::unordered_map<std::uint32_t, std::shared_ptr<void>> stash_;
-  std::uint32_t stash_counter_ = 1;
   // Declared last: destroyed first, so fabric IO threads can still deliver
   // into live endpoints while they wind down.
   std::unique_ptr<Net> net_;

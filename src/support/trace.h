@@ -50,7 +50,7 @@ enum class Ev : std::uint8_t {
   kCommCompleted,
   kCommAvailable,
 
-  // DDDF transport events (dddf/space.cc, dddf/mpi_transport.cc); b = bytes.
+  // DDDF protocol events (dddf/space.cc); b = bytes.
   kDddfGetIssued,  // first local consumer registered intent with the home
   kDddfServed,     // home rank served a registration
   kDddfData,       // payload arrived at a remote rank

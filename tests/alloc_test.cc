@@ -36,7 +36,10 @@ std::atomic<std::size_t> g_watch_bytes{0};
 std::atomic<std::uint64_t> g_watched{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+// new and delete alike are out of line, so the compiler does not pair an
+// inlined malloc() with delete or free() with new (GCC 12 at -O3 warns
+// -Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_news.fetch_add(1, std::memory_order_relaxed);
   if (n == g_watch_bytes.load(std::memory_order_relaxed)) {
     g_watched.fetch_add(1, std::memory_order_relaxed);
@@ -44,7 +47,6 @@ void* operator new(std::size_t n) {
   if (void* p = std::malloc(n != 0 ? n : 1)) return p;
   throw std::bad_alloc();
 }
-// Out of line, so the compiler does not pair an inlined free() with new.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);

@@ -1,11 +1,14 @@
 #include <atomic>
+#include <chrono>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/api.h"
-#include "dddf/mpi_transport.h"
 #include "dddf/space.h"
 #include "hcmpi/context.h"
 #include "smpi/world.h"
@@ -29,10 +32,6 @@ void run_space(int ranks, int workers,
       space.finalize();
     });
   });
-}
-
-dddf::MpiTransport& mpi_transport(dddf::Space& space) {
-  return static_cast<dddf::MpiTransport&>(space.transport());
 }
 
 // Parks the rank's communication worker in a comm task until release(), so
@@ -74,6 +73,51 @@ TEST(Dddf, PutOnNonHomeRankThrows) {
     EXPECT_THROW(space.put_value<int>(foreign, 1), std::logic_error);
     // Everyone still has to produce their own value so finalize is clean.
     space.put_value<int>(dddf::Guid(ctx.rank()), 1);
+  });
+}
+
+TEST(Dddf, HomeOutsideTheWorldThrows) {
+  // Guid 100 is homed on rank -1 and guid 101 on rank 2 of a 2-rank world:
+  // an await and a put of either throw before they touch the space, which
+  // then still exchanges values and finalizes.
+  smpi::World::run(2, [&](smpi::Comm& comm) {
+    hcmpi::Context ctx(comm, {.num_workers = 2});
+    dddf::Space space(
+        ctx, {.home = [](dddf::Guid g) {
+                return g == 100 ? -1 : g == 101 ? 2 : int(g % 2);
+              },
+              .size = [](dddf::Guid) { return std::size_t(64); }});
+    ctx.run([&] {
+      try {
+        space.async_await({100}, [] {});
+        ADD_FAILURE() << "await of guid 100 did not throw";
+      } catch (const std::out_of_range& e) {
+        EXPECT_NE(std::string(e.what()).find("home(guid 100) = -1"),
+                  std::string::npos) << e.what();
+      }
+      try {
+        space.put_value<int>(101, 1);
+        ADD_FAILURE() << "put of guid 101 did not throw";
+      } catch (const std::out_of_range& e) {
+        EXPECT_NE(std::string(e.what()).find("home(guid 101) = 2"),
+                  std::string::npos) << e.what();
+      }
+      EXPECT_THROW(space.async_await({101}, [] {}), std::out_of_range);
+      EXPECT_THROW(space.put_value<int>(100, 1), std::out_of_range);
+      EXPECT_EQ(space.remote_gets_issued(), 0u);
+
+      dddf::Guid mine = dddf::Guid(ctx.rank());
+      dddf::Guid theirs = dddf::Guid(1 - ctx.rank());
+      std::atomic<int> got{-1};
+      hc::finish([&] {
+        space.async_await({theirs}, [&] {
+          got.store(space.get_value<int>(theirs));
+        });
+        space.put_value<int>(mine, 100 + ctx.rank());
+      });
+      EXPECT_EQ(got.load(), 100 + (1 - ctx.rank()));
+      space.finalize();
+    });
   });
 }
 
@@ -199,6 +243,29 @@ TEST(Dddf, MultiInputAwait) {
   });
 }
 
+TEST(Dddf, FanInWiderThanInline) {
+  // Every rank awaits all five guids, more inputs than a task holds inline,
+  // four of them remote. Asserted on every rank, so it also holds under
+  // hcmpi_launch.
+  constexpr int kRanks = 5;
+  static_assert(std::size_t(kRanks) > hc::AndFrame::kInline);
+  run_space(kRanks, 2, [](hcmpi::Context& ctx, dddf::Space& space) {
+    space.put_value<int>(dddf::Guid(ctx.rank()), ctx.rank() + 1);
+    std::vector<dddf::Guid> all;
+    for (int r = 0; r < kRanks; ++r) all.push_back(dddf::Guid(r));
+    std::atomic<int> total{0};
+    hc::finish([&] {
+      space.async_await(all, [&] {
+        int s = 0;
+        for (dddf::Guid g : all) s += space.get_value<int>(g);
+        total.store(s);
+      });
+    });
+    EXPECT_EQ(total.load(), 15);
+    EXPECT_EQ(space.remote_gets_issued(), std::uint64_t(kRanks - 1));
+  });
+}
+
 TEST(Dddf, LargePayloadRoundTrip) {
   run_space(2, 2, [](hcmpi::Context& ctx, dddf::Space& space) {
     dddf::Guid mine = dddf::Guid(ctx.rank());
@@ -243,6 +310,40 @@ TEST(Dddf, RegistrationCountersExposed) {
   });
 }
 
+TEST(Dddf, RegisterBeforeHomeSpaceExists) {
+  // Rank 0 awaits guid 1 while rank 1 has no Space yet; rank 1 builds it
+  // about 50 ms later. The REGISTER waits in smpi until rank 1's
+  // constructor arms the poller, which it does last, so it is served once,
+  // by a whole Space.
+  constexpr int kReady = 7;
+  smpi::World::run(2, [&](smpi::Comm& comm) {
+    hcmpi::Context ctx(comm, {.num_workers = 2});
+    std::unique_ptr<dddf::Space> space;
+    if (ctx.rank() == 0) space = std::make_unique<dddf::Space>(ctx, cyclic(2));
+    ctx.run([&] {
+      if (ctx.rank() == 0) {
+        std::atomic<int> got{-1};
+        hc::finish([&] {
+          space->async_await({1}, [&] { got.store(space->get_value<int>(1)); });
+          int ready = 1;
+          ctx.send(&ready, sizeof ready, 1, kReady);
+        });
+        EXPECT_EQ(got.load(), 42);
+      } else {
+        int ready = 0;
+        ctx.recv(&ready, sizeof ready, 0, kReady);
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        space = std::make_unique<dddf::Space>(ctx, cyclic(2));
+        space->put_value<int>(1, 42);
+      }
+      space->finalize();
+      if (ctx.rank() == 1) {
+        EXPECT_EQ(space->registrations_received(), 1u);
+      }
+    });
+  });
+}
+
 TEST(Dddf, RegistrationsOfOneTurnShareOneMessage) {
   // Rank 1 issues 256 remote awaits while its communication worker is held,
   // so its poller finds all of them in one turn and must send them to the
@@ -275,7 +376,7 @@ TEST(Dddf, RegistrationsOfOneTurnShareOneMessage) {
       // Asserted at the home rank so it also holds under hcmpi_launch.
       if (ctx.rank() == 0) {
         EXPECT_EQ(space.registrations_received(), std::uint64_t(kGuids));
-        EXPECT_EQ(mpi_transport(space).register_batches_received(), 1u);
+        EXPECT_EQ(space.register_batches_received(), 1u);
       }
     });
   });
@@ -351,7 +452,7 @@ void exchange_in_one_step(const std::vector<std::size_t>& sizes,
       if (ctx.rank() == 0) {
         EXPECT_EQ(space.registrations_received(), n);
         EXPECT_EQ(space.data_messages_sent(), n);
-        EXPECT_EQ(mpi_transport(space).data_batches_sent(), data_messages);
+        EXPECT_EQ(space.data_batches_sent(), data_messages);
       }
     });
   });
@@ -366,9 +467,8 @@ TEST(Dddf, BatchSplitsAtTheCap) {
   // leave in as many full messages as the cap allows, plus a remainder.
   constexpr std::size_t kValues = 64, kBytes = 4096;
   constexpr std::size_t per_message =
-      dddf::MpiTransport::kBatchCap /
-      (dddf::MpiTransport::kRecordHeader + kBytes);
-  static_assert(kValues * kBytes > dddf::MpiTransport::kBatchCap);
+      dddf::Space::kBatchCap / (dddf::Space::kRecordHeader + kBytes);
+  static_assert(kValues * kBytes > dddf::Space::kBatchCap);
   exchange_in_one_step(std::vector<std::size_t>(kValues, kBytes),
                        (kValues + per_message - 1) / per_message);
 }
@@ -377,7 +477,7 @@ TEST(Dddf, PayloadLargerThanTheCapTravelsAlone) {
   // Queued between two small records, the oversized one still gets a
   // message to itself: three records, three messages.
   exchange_in_one_step(
-      {8, dddf::MpiTransport::kBatchCap + dddf::MpiTransport::kBatchCap / 2, 8},
+      {8, dddf::Space::kBatchCap + dddf::Space::kBatchCap / 2, 8},
       3);
 }
 

@@ -8,7 +8,6 @@
 #include "core/api.h"
 #include "core/ddf.h"
 #include "smpi/comm.h"
-#include "smpi/rma.h"
 #include "smpi/world.h"
 
 namespace {
@@ -112,29 +111,6 @@ TEST(SmpiEdge, UnexpectedQueueHighWater) {
         EXPECT_EQ(got, i);
       }
     }
-  });
-}
-
-TEST(RmaEdge, ConcurrentDisjointPuts) {
-  smpi::World::run(4, [](smpi::Comm& comm) {
-    std::vector<int> table(64, -1);
-    smpi::Window win =
-        smpi::Window::create(comm, table.data(), table.size() * sizeof(int));
-    // Everyone writes 16 disjoint slots of rank 0's window concurrently.
-    for (int i = 0; i < 16; ++i) {
-      int v = comm.rank() * 100 + i;
-      win.put(&v, sizeof v, 0,
-              std::size_t(comm.rank() * 16 + i) * sizeof(int));
-    }
-    win.fence();
-    if (comm.rank() == 0) {
-      for (int r = 0; r < 4; ++r) {
-        for (int i = 0; i < 16; ++i) {
-          EXPECT_EQ(table[std::size_t(r * 16 + i)], r * 100 + i);
-        }
-      }
-    }
-    win.free();
   });
 }
 

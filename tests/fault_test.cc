@@ -1,6 +1,6 @@
 // hc-fault: deterministic injection schedules, exactly-once delivery under
-// injection on both in-memory transports, request deadlines, the stall
-// watchdog and the deadlined finalize barrier.
+// injection on the in-memory channel, request deadlines, the stall watchdog
+// and the deadlined finalize barrier.
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "core/api.h"
-#include "dddf/am_transport.h"
 #include "dddf/space.h"
 #include "fault/fault.h"
 #include "hcmpi/context.h"
@@ -227,15 +226,19 @@ TEST(HcmpiFault, CollectivesAndP2pSurviveDrops) {
   });
 }
 
-TEST(DddfFault, MpiTransportChainSurvivesDrops) {
+TEST(DddfFault, ChainSurvivesDrops) {
+  // In thread mode smpi delivery is an in-memory channel: a drop there is a
+  // sender-side backoff and retry, never a lost or doubled message.
   FaultGuard guard;
   fault::Config cfg;
   cfg.seed = 3;
   cfg.drop_p = 0.1;
   cfg.dup_p = 0.1;
   fault::configure(cfg);
+  std::uint64_t drops0 = counter("fault.injected.drop");
   const int ranks = 3, depth = 12;
   std::atomic<int> final_value{-1};
+  std::atomic<std::uint64_t> transfers{0};
   smpi::World::run(ranks, [&](smpi::Comm& comm) {
     hcmpi::Context ctx(comm, {.num_workers = 2});
     dddf::Space space(ctx, cyclic(ranks));
@@ -257,58 +260,13 @@ TEST(DddfFault, MpiTransportChainSurvivesDrops) {
       space.finalize();
       dddf::Guid last = dddf::Guid(depth - 1);
       if (space.is_home(last)) final_value.store(space.get_value<int>(last));
+      transfers.fetch_add(space.data_messages_sent());
     });
   });
   EXPECT_EQ(final_value.load(), depth);
-}
-
-TEST(DddfFault, AmTransportAckRetransmitDelivers) {
-  // The AmBus mailboxes are in-memory channels: a drop there is a
-  // sender-side backoff and retry, never a lost or doubled message.
-  FaultGuard guard;
-  fault::Config cfg;
-  cfg.seed = 3;
-  cfg.drop_p = 0.3;  // heavy loss: most protocol messages are retried
-  fault::configure(cfg);
-  std::uint64_t drops0 = counter("fault.injected.drop");
-  constexpr int kRanks = 3, kDepth = 10;
-  std::atomic<int> final_value{-1};
-  std::atomic<std::uint64_t> transfers{0};
-  auto bus = std::make_shared<dddf::AmBus>(kRanks);
-  std::vector<std::thread> threads;
-  for (int r = 0; r < kRanks; ++r) {
-    threads.emplace_back([&, r] {
-      dddf::Space space(std::make_unique<dddf::AmTransport>(bus, r),
-                        cyclic(kRanks));
-      hc::Runtime rt({.num_workers = 2});
-      rt.launch([&] {
-        hc::finish([&] {
-          for (int k = 0; k < kDepth; ++k) {
-            if (int(dddf::Guid(k) % kRanks) != r) continue;
-            if (k == 0) {
-              space.put_value<int>(0, 1);
-            } else {
-              dddf::Guid prev = dddf::Guid(k - 1);
-              space.async_await({prev}, [&space, prev, k] {
-                space.put_value<int>(dddf::Guid(k),
-                                     space.get_value<int>(prev) + 1);
-              });
-            }
-          }
-        });
-        space.finalize();
-        if (space.is_home(dddf::Guid(kDepth - 1))) {
-          final_value.store(space.get_value<int>(dddf::Guid(kDepth - 1)));
-        }
-        transfers.fetch_add(space.data_messages_sent());
-      });
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(final_value.load(), kDepth);
-  // Exactly one DATA per (guid, consumer) pair even though the wire
+  // Exactly one DATA record per (guid, consumer) pair even though the wire
   // dropped and retried.
-  EXPECT_EQ(transfers.load(), std::uint64_t(kDepth - 1));
+  EXPECT_EQ(transfers.load(), std::uint64_t(depth - 1));
   EXPECT_GT(counter("fault.injected.drop"), drops0);
 }
 
@@ -403,20 +361,6 @@ TEST(WatchdogFault, RecycledSlotDumpsNoStaleP2pFields) {
   EXPECT_EQ(err.find("peer=1 "), std::string::npos) << err;
   EXPECT_EQ(err.find("tag=4242"), std::string::npos) << err;
   EXPECT_EQ(err.find("bytes=384"), std::string::npos) << err;
-}
-
-TEST(BarrierFault, AmBarrierTimeoutNamesMissingRanks) {
-  auto bus = std::make_shared<dddf::AmBus>(2);
-  dddf::AmTransport t0(bus, 0);
-  dddf::AmTransport t1(bus, 1);  // never joins the barrier
-  try {
-    t0.finalize_barrier(100);
-    FAIL() << "barrier should have timed out";
-  } catch (const dddf::BarrierTimeout& e) {
-    EXPECT_EQ(e.rank(), 0);
-    ASSERT_EQ(e.missing().size(), 1u);
-    EXPECT_EQ(e.missing()[0], 1);
-  }
 }
 
 TEST(BarrierFault, MpiFinalizeTimeoutNamesMissingRanks) {

@@ -605,8 +605,8 @@ TEST_F(SocketWorldTest, ChaosOverSocketsStaysExactlyOnce) {
 }
 
 TEST_F(SocketWorldTest, DddfChainOverLoopbackSocketsExactlyOnce) {
-  // DDDF over real sockets: Space(ctx, ...) rides MpiTransport, so every
-  // REGISTER and DATA batch is an smpi message over the socket wire, with
+  // DDDF over real sockets: Space(ctx, ...) rides the communication
+  // worker, so every REGISTER and DATA batch is an smpi message over the socket wire, with
   // drops and duplicates injected on it. Each link k-1 -> k of the chain
   // crosses ranks, so a lost message hangs the chain, and a duplicate that
   // got past the fabric's Reorderer shows up as an extra REGISTER or a
