@@ -10,7 +10,7 @@
 //   C. UTS chunk-size / polling-interval sweep (the paper tuned -c/-i per
 //      system; this shows the sensitivity surface).
 //   D. Steal-batch policy on the real runtime — spawn-burst throughput and
-//      steal telemetry under --steal=one / half / adaptive (DESIGN.md §8).
+//      steal telemetry under --steal=one / half (DESIGN.md §8).
 #include <chrono>
 #include <cstdio>
 
@@ -123,8 +123,7 @@ int main(int argc, char** argv) {
       "burst): tasks/s + steal telemetry");
   std::printf("%10s %14s %10s %10s %10s %12s\n", "policy", "tasks/s", "steals",
               "batches", "per-batch", "failedrnds");
-  for (hc::StealPolicy p : {hc::StealPolicy::kOne, hc::StealPolicy::kHalf,
-                            hc::StealPolicy::kAdaptive}) {
+  for (hc::StealPolicy p : {hc::StealPolicy::kOne, hc::StealPolicy::kHalf}) {
     steal_policy_row(p, /*workers=*/4, /*tasks=*/20000);
   }
 

@@ -29,9 +29,9 @@ namespace benchutil {
 // --prof-*) parsed once, with artifacts written when `ses` leaves scope.
 // Binary-specific knobs read from `ses.flags`.
 //
-// Also applies --steal=one|half|adaptive (the scheduler's steal-batch
-// policy) process-wide before any Runtime is built. It lives here rather
-// than in Observe because support/ cannot depend on core/.
+// Also applies --steal=one|half (the scheduler's steal-batch policy)
+// process-wide before any Runtime is built. It lives here rather than in
+// Observe because support/ cannot depend on core/.
 struct Session {
   support::Flags flags;
   support::Observe obs;
@@ -41,7 +41,7 @@ struct Session {
       hc::StealPolicy p;
       if (!hc::parse_steal_policy(steal, &p)) {
         std::fprintf(stderr,
-                     "error: bad --steal=%s (want one|half|adaptive)\n",
+                     "error: bad --steal=%s (want one|half)\n",
                      steal.c_str());
         std::exit(2);
       }

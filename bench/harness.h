@@ -136,7 +136,7 @@ struct RunOptions {
   int msgrate_msgs = 20000; // ping-pongs per smpi_msgrate rep
   bool verbose = true;      // per-rep progress lines on stdout
   // Steal-batch policy applied process-wide before the workloads run
-  // ("one" | "half" | "adaptive"; empty keeps the current default). The CI
+  // ("one" | "half"; empty keeps the current default). The CI
   // steal-ablation step flips this between two harness runs.
   std::string steal;
   // Transport applied process-wide before the workloads run ("thread" |

@@ -48,10 +48,6 @@ class DdfBase {
     return head_.load(std::memory_order_acquire) == kReady;
   }
 
-  // Raw pointer to the stored payload. Only meaningful once satisfied() is
-  // true; between claim and release it points at not-yet-constructed bytes.
-  void* raw_value() const { return value_.load(std::memory_order_acquire); }
-
   // Attempts to register node (task.h); returns false if the DDF is already
   // satisfied (node not consumed, caller keeps ownership). Internal to the
   // await machinery, not part of the user API.
@@ -64,12 +60,6 @@ class DdfBase {
   // release_waiters() makes it visible and fires DDTs.
   void claim(void* payload);
   void release_waiters();
-
-  // claim + release in one step, for payloads constructed beforehand.
-  void publish(void* payload) {
-    claim(payload);
-    release_waiters();
-  }
 
   // Pooled reuse: back to the empty, unput state. The caller guarantees that
   // no waiter is registered and that no other thread can reach the DDF.

@@ -47,17 +47,12 @@ Runtime::Runtime(const RuntimeConfig& cfg) {
   prof_sampler_id_ = prof::add_sampler([this] {
     auto& reg = support::MetricsRegistry::global();
     double total = 0;
-    double half = 0;
     for (const auto& w : workers_) {
       double d = double(w->deque_depth());
       total += d;
       reg.histogram("sched.deque_depth").add(d);
-      if (w->stealing_half()) half += 1;
     }
     reg.gauge("sched.deque_depth.total").set(total);
-    // Adaptive-policy visibility: how many workers are currently in
-    // steal-half mode (constant for --steal=one/half).
-    reg.gauge("sched.steal_half_workers").set(half);
   });
 }
 
@@ -199,12 +194,6 @@ std::uint64_t Runtime::total_steal_batches() const {
   return n;
 }
 
-std::uint64_t Runtime::total_policy_switches() const {
-  std::uint64_t n = 0;
-  for (const auto& w : workers_) n += w->policy_switches();
-  return n;
-}
-
 Runtime::TaskPoolStats Runtime::task_pool_stats() const {
   TaskPoolStats s;
   auto add = [&](const Worker& w) {
@@ -244,7 +233,6 @@ void Runtime::export_metrics(support::MetricsRegistry& reg) const {
   reg.counter("hc.steal_batches").add(total_steal_batches());
   reg.counter("hc.steal_attempts").add(total_steal_attempts());
   reg.counter("hc.failed_steal_rounds").add(total_failed_steal_rounds());
-  reg.counter("hc.steal_policy_switches").add(total_policy_switches());
   TaskPoolStats ps = task_pool_stats();
   reg.counter("hc.task_pool.freelist_hits").add(ps.freelist_hits);
   reg.counter("hc.task_pool.freelist_misses").add(ps.freelist_misses);

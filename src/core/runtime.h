@@ -37,7 +37,7 @@ struct RuntimeConfig {
   int place_fanout = 2;
   std::uint64_t seed = 0x9E3779B97F4A7C15ull;
   // Steal-batch policy for every worker; kDefault defers to the process-wide
-  // default (the --steal= flag / set_default_steal_policy), normally adaptive.
+  // default (the --steal= flag / set_default_steal_policy), normally half.
   StealPolicy steal = StealPolicy::kDefault;
 };
 
@@ -116,7 +116,6 @@ class Runtime {
   std::uint64_t total_steal_attempts() const;
   std::uint64_t total_failed_steal_rounds() const;
   std::uint64_t total_steal_batches() const;
-  std::uint64_t total_policy_switches() const;
 
   // Task-pool totals over all live slots (computation + producers).
   struct TaskPoolStats {
@@ -143,7 +142,6 @@ class Runtime {
   // Rank identity stamped on flushed trace tracks (Chrome-trace pid).
   // Default 0; hcmpi::Context sets its rank.
   void set_trace_pid(int pid) { trace_pid_ = pid; }
-  int trace_pid() const { return trace_pid_; }
 
   // Adds this runtime's scheduler counters ("hc.*") and the per-worker
   // task-balance histogram to `reg`. Called with the global registry at

@@ -10,13 +10,15 @@ namespace hc {
 void bind_worker_thread(Runtime* rt, Worker* w);
 
 namespace {
-// Process-wide default; kAdaptive unless --steal= / set_default_steal_policy
+// Process-wide default; kHalf unless --steal= / set_default_steal_policy
 // said otherwise. Read once per Worker construction, never on a hot path.
-std::atomic<StealPolicy> g_default_steal{StealPolicy::kAdaptive};
+std::atomic<StealPolicy> g_default_steal{StealPolicy::kHalf};
+
+using support::trace::Ev;
 }  // namespace
 
 void set_default_steal_policy(StealPolicy p) {
-  g_default_steal.store(p == StealPolicy::kDefault ? StealPolicy::kAdaptive : p,
+  g_default_steal.store(p == StealPolicy::kDefault ? StealPolicy::kHalf : p,
                         std::memory_order_relaxed);
 }
 
@@ -29,8 +31,6 @@ bool parse_steal_policy(std::string_view s, StealPolicy* out) {
     *out = StealPolicy::kOne;
   } else if (s == "half") {
     *out = StealPolicy::kHalf;
-  } else if (s == "adaptive") {
-    *out = StealPolicy::kAdaptive;
   } else {
     return false;
   }
@@ -43,8 +43,6 @@ const char* steal_policy_name(StealPolicy p) {
       return "one";
     case StealPolicy::kHalf:
       return "half";
-    case StealPolicy::kAdaptive:
-      return "adaptive";
     case StealPolicy::kDefault:
       break;
   }
@@ -60,9 +58,13 @@ Worker::Worker(Runtime& rt, int id, bool has_thread, StealPolicy policy)
       victim_rng_(support::SplitMix64::mix(std::uint64_t(id) + 1)),
       configured_(policy == StealPolicy::kDefault ? default_steal_policy()
                                                   : policy),
+      granularity_hist_(support::MetricsRegistry::global().histogram(
+          "sched.task_granularity_ns")),
+      steal_latency_hist_(support::MetricsRegistry::global().histogram(
+          "sched.steal_latency_ns")),
+      steal_batch_hist_(
+          support::MetricsRegistry::global().histogram("sched.steal_batch")),
       trace_name_((has_thread ? "worker-" : "producer-") + std::to_string(id)) {
-  mode_half_.store(configured_ != StealPolicy::kOne,
-                   std::memory_order_relaxed);
 }
 
 Worker::~Worker() = default;
@@ -82,13 +84,13 @@ void Worker::join() {
 void Worker::push(Task* t) {
   // push() is only ever called by this worker's bound thread (schedule()
   // routes through tl_worker), so recording here keeps the ring SPSC.
-  trace_ring_.record(support::trace::Ev::kTaskSpawn, std::uint32_t(id_));
-  prof::ScopedState ps(prof::State::kDequeOp);
+  prof::Probe p(prof::State::kDequeOp, &trace_ring_);
+  p.instant(Ev::kTaskSpawn, id_);
   deque_.push(t);
 }
 
 std::size_t Worker::steal_budget(const Worker& victim) const {
-  if (!mode_half_.load(std::memory_order_relaxed)) return 1;
+  if (configured_ == StealPolicy::kOne) return 1;
   // Half of what the victim appears to hold, so a shallow deque degrades to
   // steal-one automatically and a deep one amortizes the scan.
   std::size_t half = (victim.deque_depth() + 1) / 2;
@@ -96,36 +98,10 @@ std::size_t Worker::steal_budget(const Worker& victim) const {
   return half < kMaxStealBatch ? half : kMaxStealBatch;
 }
 
-void Worker::adaptive_note(bool success) {
-  if (configured_ != StealPolicy::kAdaptive) return;
-  ++window_rounds_;
-  if (!success) ++window_fails_;
-  if (window_rounds_ < kAdaptWindow) return;
-  bool half;
-  if (window_fails_ * 4 > window_rounds_ * 3) {
-    // Starved (>75% of rounds found nothing): make the rare win count by
-    // taking a batch.
-    half = true;
-  } else if (gran_valid_) {
-    // Fine-grained tasks are cheap to move and quick to re-steal — batch.
-    // Coarse tasks keep a thief busy for a long time anyway; taking many
-    // strands the victim's queue for no latency win.
-    half = gran_ewma_ns_ < kCoarseGrainNs;
-  } else {
-    half = true;  // no granularity signal yet: optimistic default
-  }
-  if (half != mode_half_.load(std::memory_order_relaxed)) {
-    mode_half_.store(half, std::memory_order_relaxed);
-    bump(policy_switches_);
-  }
-  window_rounds_ = 0;
-  window_fails_ = 0;
-}
-
 Task* Worker::try_get_task() {
   // 1. Own deque (LIFO end: locality, as in the paper's runtime).
   {
-    prof::ScopedState ps(prof::State::kDequeOp);
+    prof::Probe p(prof::State::kDequeOp);
     if (auto t = deque_.pop()) return *t;
   }
 
@@ -141,12 +117,11 @@ Task* Worker::try_get_task() {
   if (Task* t = rt_.pop_injected()) return t;
 
   // 4. Steal from a random victim; one full scan per call, batch size set by
-  //    the policy (one / half / adaptive).
+  //    the policy (one / half).
   int slots = rt_.total_slots();
   if (slots > 1) {
-    prof::ScopedState ps(prof::State::kStealAttempt);
-    const bool tel = prof::telemetry();
-    std::uint64_t t0 = tel ? support::trace::now_ns() : 0;
+    prof::Probe p(prof::State::kStealAttempt, &trace_ring_);
+    const std::uint64_t t0 = p.stamp();
     int start = int(victim_rng_.next_below(std::uint32_t(slots)));
     for (int k = 0; k < slots; ++k) {
       int v = (start + k) % slots;
@@ -159,7 +134,7 @@ Task* Worker::try_get_task() {
       if (victim == nullptr || victim->deque_depth() == 0) continue;
       // Only probes are traced: a waiting worker scans empty victims
       // continuously and would otherwise flood its ring.
-      trace_ring_.record(support::trace::Ev::kStealAttempt, std::uint32_t(v));
+      p.instant(Ev::kStealAttempt, std::uint32_t(v));
       bump(steal_attempts_);
       Task* buf[kMaxStealBatch];
       std::size_t got = victim->steal_some(buf, steal_budget(*victim));
@@ -167,23 +142,19 @@ Task* Worker::try_get_task() {
       bump(steal_batches_);
       steals_.store(steals_.load(std::memory_order_relaxed) + got,
                     std::memory_order_relaxed);
-      trace_ring_.record(support::trace::Ev::kStealSuccess, std::uint32_t(v));
       // Latency of the successful scan only: from scan start to tasks in
       // hand — the cost a victim's work pays to migrate.
-      if (tel) {
-        prof::steal_latency_hist().add(double(support::trace::now_ns() - t0));
-        prof::steal_batch_hist().add(double(got));
-      }
+      p.sample(steal_latency_hist_, t0,
+               p.stamp(Ev::kStealSuccess, std::uint32_t(v)));
+      p.sample(steal_batch_hist_, double(got));
       // Run the oldest ourselves; bank the surplus on our own deque, where
       // other thieves (and our own pops) can get at it.
       for (std::size_t i = 1; i < got; ++i) push_surplus(buf[i]);
       if (got > 1) rt_.notify_work();
-      adaptive_note(true);
       return buf[0];
     }
   }
   bump(failed_steal_rounds_);
-  adaptive_note(false);
   return nullptr;
 }
 
@@ -222,17 +193,17 @@ void Worker::main_loop(std::stop_token st) {
       // swept every victim, so back off 2^n pauses and yield rather than
       // re-scanning immediately (or paying the 1 ms park when work is about
       // to appear). The yield matters on the 1-core CI host.
-      prof::ScopedState ps(prof::State::kIdle);
+      prof::Probe p(prof::State::kIdle);
       for (int i = 0; i < (1 << idle_rounds); ++i) support::cpu_relax();
       std::this_thread::yield();
       ++idle_rounds;
     } else {
       // Park span: the gap the paper's "computation workers never block in
       // MPI" claim is about — visible idle time, not hidden in MPI_Wait.
-      trace_ring_.record(support::trace::Ev::kIdleBegin, std::uint32_t(id_));
-      prof::ScopedState ps(prof::State::kIdle);
+      prof::Probe p(prof::State::kIdle, &trace_ring_);
+      p.instant(Ev::kIdleBegin, id_);
       rt_.idle_wait();
-      trace_ring_.record(support::trace::Ev::kIdleEnd, std::uint32_t(id_));
+      p.instant(Ev::kIdleEnd, id_);
     }
   }
   prof::unregister_thread();

@@ -7,10 +7,8 @@
 // stolen by computation workers").
 //
 // Hot-path design (DESIGN.md §8): task storage comes from a per-worker slab
-// pool (task_pool.h), thieves can take half a victim's pending tasks in one
-// steal_some() batch, and the steal policy (--steal=one|half|adaptive) is
-// resolved per worker, with adaptive switching on observed steal-failure
-// rate and task granularity.
+// pool (task_pool.h), and thieves take half a victim's pending tasks in one
+// steal_some() batch unless the steal policy (--steal=one|half) says one.
 #pragma once
 
 #include <atomic>
@@ -23,6 +21,7 @@
 #include "core/task_pool.h"
 #include "prof/prof.h"
 #include "support/chase_lev_deque.h"
+#include "support/metrics.h"
 #include "support/rng.h"
 #include "support/trace.h"
 
@@ -31,18 +30,18 @@ namespace hc {
 class Runtime;
 
 // How a thief sizes its steal batches. kDefault defers to the process-wide
-// default (set_default_steal_policy, normally kAdaptive), so RuntimeConfig
+// default (set_default_steal_policy, normally kHalf), so RuntimeConfig
 // callers and the --steal= flag compose without every construction site
 // naming a policy.
-enum class StealPolicy : std::uint8_t { kDefault, kOne, kHalf, kAdaptive };
+enum class StealPolicy : std::uint8_t { kDefault, kOne, kHalf };
 
 // Process-wide default used when RuntimeConfig leaves steal = kDefault.
-// Setting kDefault restores the built-in (kAdaptive).
+// Setting kDefault restores the built-in (kHalf).
 void set_default_steal_policy(StealPolicy p);
 StealPolicy default_steal_policy();
 
-// "one" | "half" | "adaptive" (the --steal= flag values). False on anything
-// else; *out untouched.
+// "one" | "half" (the --steal= flag values). False on anything else; *out
+// untouched.
 bool parse_steal_policy(std::string_view s, StealPolicy* out);
 const char* steal_policy_name(StealPolicy p);
 
@@ -74,12 +73,6 @@ class Worker {
     return deque_.steal_some(out, max_n);
   }
 
-  // Single-task steal, kept for tests and external helpers.
-  Task* steal() {
-    Task* t = nullptr;
-    return steal_some(&t, 1) == 1 ? t : nullptr;
-  }
-
   // Pop + place-queue + injection + steal scan. Returns nullptr when no work
   // was found anywhere.
   Task* try_get_task();
@@ -94,24 +87,11 @@ class Worker {
   // waiting, which the B/E trace events model directly.
   void execute(Task* t) {
     bump(tasks_executed_);
-    trace_ring_.record(support::trace::Ev::kTaskStart, std::uint32_t(id_));
-    const bool tel = prof::telemetry();
-    std::uint64_t t0 = tel ? support::trace::now_ns() : 0;
-    {
-      prof::ScopedState body(prof::State::kTaskBody);
-      run_task(t);
-    }
-    if (tel) {
-      double ns = double(support::trace::now_ns() - t0);
-      prof::task_granularity_hist().add(ns);
-      // Adaptive-policy granularity signal: EWMA (1/8 gain) of this worker's
-      // own task bodies. Only fed while telemetry is on — the policy falls
-      // back to the failure-rate rule when no granularity estimate exists.
-      gran_ewma_ns_ = gran_valid_ ? gran_ewma_ns_ + (ns - gran_ewma_ns_) / 8.0
-                                  : ns;
-      gran_valid_ = true;
-    }
-    trace_ring_.record(support::trace::Ev::kTaskEnd, std::uint32_t(id_));
+    prof::Probe p(prof::State::kTaskBody, &trace_ring_);
+    const std::uint64_t t0 = p.stamp(support::trace::Ev::kTaskStart, id_);
+    run_task(t);
+    p.sample(granularity_hist_, t0,
+             p.stamp(support::trace::Ev::kTaskEnd, id_));
   }
 
   // Per-worker counters, exposed for tests and the ablation bench. Single
@@ -137,18 +117,9 @@ class Worker {
   std::uint64_t failed_steal_rounds() const {
     return failed_steal_rounds_.load(std::memory_order_relaxed);
   }
-  // Adaptive one<->half transitions on this worker.
-  std::uint64_t policy_switches() const {
-    return policy_switches_.load(std::memory_order_relaxed);
-  }
 
   // The policy this worker was configured with (kDefault already resolved).
   StealPolicy steal_policy() const { return configured_; }
-  // Whether the next steal round would use a half batch (adaptive workers
-  // flip this at window boundaries; one/half workers are constant).
-  bool stealing_half() const {
-    return mode_half_.load(std::memory_order_relaxed);
-  }
 
   // Racy size estimate of the deque, for the telemetry depth gauge.
   std::size_t deque_depth() const { return deque_.size_approx(); }
@@ -171,11 +142,8 @@ class Worker {
   friend class Runtime;
   void main_loop(std::stop_token st);
 
-  // Batch budget for one probe of `victim` under the current mode.
+  // Batch budget for one probe of `victim` under the policy.
   std::size_t steal_budget(const Worker& victim) const;
-  // Feeds the adaptive controller one steal-round outcome; recomputes the
-  // mode every kAdaptWindow rounds.
-  void adaptive_note(bool success);
   // Surplus from a steal batch: own-deque push without the kTaskSpawn trace
   // event (migration, not a spawn).
   void push_surplus(Task* t) { deque_.push(t); }
@@ -184,9 +152,6 @@ class Worker {
     c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   }
 
-  // Adaptive controller constants (see DESIGN.md §8 for the rationale).
-  static constexpr int kAdaptWindow = 32;        // steal rounds per decision
-  static constexpr double kCoarseGrainNs = 50e3; // above: steal-one
   // Consecutive failed rounds spent in capped exponential spin (2^n pauses)
   // before escalating to the 1 ms park in Runtime::idle_wait.
   static constexpr int kSpinRounds = 10;
@@ -197,22 +162,19 @@ class Worker {
   support::ChaseLevDeque<Task*> deque_;
   TaskPool pool_;
   support::XorShift64 victim_rng_;  // deterministic stream, seeded from id
-  StealPolicy configured_;          // kOne/kHalf/kAdaptive (resolved)
+  StealPolicy configured_;          // kOne or kHalf (resolved)
   std::jthread thread_;
-
-  // Adaptive-policy state; written only by the owner thread.
-  std::atomic<bool> mode_half_{true};
-  int window_rounds_ = 0;
-  int window_fails_ = 0;
-  double gran_ewma_ns_ = 0;
-  bool gran_valid_ = false;
 
   std::atomic<std::uint64_t> tasks_executed_{0};
   std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> steal_batches_{0};
   std::atomic<std::uint64_t> steal_attempts_{0};
   std::atomic<std::uint64_t> failed_steal_rounds_{0};
-  std::atomic<std::uint64_t> policy_switches_{0};
+
+  // Telemetry histograms (registry entries, resolved once per worker).
+  support::MetricsRegistry::Histogram& granularity_hist_;
+  support::MetricsRegistry::Histogram& steal_latency_hist_;
+  support::MetricsRegistry::Histogram& steal_batch_hist_;
 
   support::trace::Ring trace_ring_;
   std::string trace_name_;

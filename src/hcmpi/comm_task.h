@@ -169,14 +169,14 @@ struct CommTask : support::MpscNode {  // the link of the worklist
   // AVAILABLE).
   std::uint32_t slot_id = 0;
 
-  // Lifecycle timestamps on the support::trace::now_ns clock. Each is
-  // written by the single thread driving that transition (allocated and
-  // prescribed by the submitter, active and completed by the communication
-  // worker) and read only after completion; 0 while tracing is disabled.
-  std::uint64_t ts_allocated = 0;
+  // Lifecycle stamps on the support::trace::now_ns clock, for the telemetry
+  // latencies. Each is written in every incarnation by the thread driving
+  // that transition (prescribed by the submitter, active by the
+  // communication worker), 0 while tracing and telemetry are both off, and
+  // read at completion; so a latency never pairs one incarnation's stamp
+  // with another's.
   std::uint64_t ts_prescribed = 0;
   std::uint64_t ts_active = 0;
-  std::uint64_t ts_completed = 0;
 
   // Point-to-point.
   const void* send_buf = nullptr;

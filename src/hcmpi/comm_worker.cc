@@ -105,14 +105,12 @@ void Context::comm_worker_main() {
     std::fprintf(f, "== end hcmpi watchdog dump ==\n");
   };
 
-  // The PRESCRIBED -> ACTIVE transition of Fig. 10: timestamped and
+  // The PRESCRIBED -> ACTIVE transition of Fig. 10: stamped and
   // ring-recorded on the communication worker, which drives it.
   auto mark_active = [&](CommTask* t) {
-    if (support::trace::enabled() || prof::telemetry()) {
-      t->ts_active = support::trace::now_ns();
-      self->trace_ring().record(support::trace::Ev::kCommActive, t->slot_id,
-                                t->gen.load(std::memory_order_relaxed));
-    }
+    prof::Probe p;  // this thread's ring is self's
+    t->ts_active = p.stamp(support::trace::Ev::kCommActive, t->slot_id,
+                           t->gen.load(std::memory_order_relaxed));
     transition(*t, CommTaskState::kActive);
   };
 

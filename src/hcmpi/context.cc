@@ -5,16 +5,11 @@
 
 namespace hcmpi {
 
-namespace {
-// The event ring of whatever worker slot this thread is bound to (a
-// computation worker, or the communication worker's producer slot), if any.
-// Lifecycle events from unbound threads keep their timestamps but are not
-// ring-recorded.
-support::trace::Ring* cur_ring() {
-  hc::Worker* w = hc::Runtime::current_worker();
-  return w != nullptr ? &w->trace_ring() : nullptr;
-}
-}  // namespace
+// Lifecycle edges (paper Fig. 10) are probes on the calling thread's ring:
+// the worker slot this thread is bound to (a computation worker, or the
+// communication worker's producer slot). Events from unbound threads keep
+// their stamps but are not ring-recorded.
+using support::trace::Ev;
 
 void RequestImpl::unref() {
   if (refs_.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
@@ -86,7 +81,14 @@ void SlotPool::drop() {
 }
 
 Context::Context(smpi::Comm comm, const ContextConfig& cfg)
-    : comm_(comm), sys_comm_(comm.dup()) {
+    : comm_(comm),
+      sys_comm_(comm.dup()),
+      lifecycle_latency_hist_(support::MetricsRegistry::global().histogram(
+          "hcmpi.comm_task_latency_ns")),
+      inject_to_wire_hist_(support::MetricsRegistry::global().histogram(
+          "hcmpi.inject_to_wire_ns")),
+      wire_to_completion_hist_(support::MetricsRegistry::global().histogram(
+          "hcmpi.wire_to_completion_ns")) {
   hc::RuntimeConfig rc;
   rc.num_workers = cfg.num_workers;
   runtime_ = std::make_unique<hc::Runtime>(rc);
@@ -128,9 +130,6 @@ void Context::export_metrics(support::MetricsRegistry& reg) const {
       .add(comm_counters_.coll_script_steps.load(std::memory_order_relaxed));
   reg.counter("hcmpi.collectives_executed")
       .add(comm_counters_.collectives.load(std::memory_order_relaxed));
-  reg.histogram("hcmpi.comm_task_latency_ns").merge(lifecycle_latency_ns_);
-  reg.histogram("hcmpi.inject_to_wire_ns").merge(inject_to_wire_ns_);
-  reg.histogram("hcmpi.wire_to_completion_ns").merge(wire_to_completion_ns_);
 }
 
 std::uint64_t Context::outstanding_tasks() const {
@@ -148,15 +147,9 @@ CommTask* Context::allocate_task() {
     recycled_.fetch_add(1, std::memory_order_relaxed);
   }
   t->request.ref();  // the communication worker's, dropped by release_task
-  if (support::trace::enabled() || prof::telemetry()) {
-    t->ts_allocated = support::trace::now_ns();
-    if (auto* ring = cur_ring()) {
-      // record() is itself gated on the trace flag; telemetry alone stamps
-      // the timestamps without ring traffic.
-      ring->record(support::trace::Ev::kCommAllocated, t->slot_id,
-                   t->gen.load(std::memory_order_relaxed));
-    }
-  }
+  prof::Probe p;
+  p.instant(Ev::kCommAllocated, t->slot_id,
+            t->gen.load(std::memory_order_relaxed));
   return t;
 }
 
@@ -174,14 +167,11 @@ void Context::release_task(CommTask* t) {
   t->exec = nullptr;
   t->script.reset();
   t->target = nullptr;
-  if (support::trace::enabled()) {
-    if (auto* ring = cur_ring()) {
-      // Emitted under the pre-bump generation so the AVAILABLE transition
-      // closes the same incarnation's lifecycle span.
-      ring->record(support::trace::Ev::kCommAvailable, t->slot_id,
-                   t->gen.load(std::memory_order_relaxed));
-    }
-  }
+  // Emitted under the pre-bump generation so the AVAILABLE transition closes
+  // the same incarnation's lifecycle span.
+  prof::Probe p;
+  p.instant(Ev::kCommAvailable, t->slot_id,
+            t->gen.load(std::memory_order_relaxed));
   t->gen.fetch_add(1, std::memory_order_acq_rel);
   transition(*t, CommTaskState::kAvailable);
   retired_.store(retired_.load(std::memory_order_relaxed) + 1,
@@ -192,13 +182,9 @@ void Context::release_task(CommTask* t) {
 
 void Context::submit(CommTask* t) {
   comm_counters_.tasks_submitted.fetch_add(1, std::memory_order_relaxed);
-  if (support::trace::enabled() || prof::telemetry()) {
-    t->ts_prescribed = support::trace::now_ns();
-    if (auto* ring = cur_ring()) {
-      ring->record(support::trace::Ev::kCommPrescribed, t->slot_id,
-                   t->gen.load(std::memory_order_relaxed));
-    }
-  }
+  prof::Probe p;
+  t->ts_prescribed = p.stamp(Ev::kCommPrescribed, t->slot_id,
+                             t->gen.load(std::memory_order_relaxed));
   transition(*t, CommTaskState::kPrescribed);
   // hc-check submit edge: the submitter's history travels with the task to
   // the communication worker (and from there into the request's put).
@@ -234,22 +220,17 @@ void Context::clear_poller() {
 }
 
 void Context::complete_task(CommTask* t, const Status& st) {
-  if (support::trace::enabled() || prof::telemetry()) {
-    t->ts_completed = support::trace::now_ns();
-    if (auto* ring = cur_ring()) {
-      ring->record(support::trace::Ev::kCommCompleted, t->slot_id,
-                   t->gen.load(std::memory_order_relaxed));
-    }
-    if (t->ts_prescribed != 0 && t->ts_completed >= t->ts_prescribed) {
-      lifecycle_latency_ns_.add(double(t->ts_completed - t->ts_prescribed));
-      // Split at the PRESCRIBED -> ACTIVE transition: injection-to-wire is
-      // the worklist hand-off to the communication worker; wire-to-completion
-      // is the time the operation itself was in flight.
-      if (t->ts_active >= t->ts_prescribed &&
-          t->ts_completed >= t->ts_active && t->ts_active != 0) {
-        inject_to_wire_ns_.add(double(t->ts_active - t->ts_prescribed));
-        wire_to_completion_ns_.add(double(t->ts_completed - t->ts_active));
-      }
+  prof::Probe p;
+  const std::uint64_t now = p.stamp(Ev::kCommCompleted, t->slot_id,
+                                    t->gen.load(std::memory_order_relaxed));
+  if (p.telemetry()) [[unlikely]] {
+    p.sample(lifecycle_latency_hist_, t->ts_prescribed, now);
+    // Split at the PRESCRIBED -> ACTIVE transition: injection-to-wire is
+    // the worklist hand-off to the communication worker; wire-to-completion
+    // is the time the operation itself was in flight.
+    if (t->ts_prescribed != 0 && t->ts_active >= t->ts_prescribed) {
+      p.sample(inject_to_wire_hist_, t->ts_prescribed, t->ts_active);
+      p.sample(wire_to_completion_hist_, t->ts_active, now);
     }
   }
   transition(*t, CommTaskState::kCompleted);

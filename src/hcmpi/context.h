@@ -222,11 +222,11 @@ class Context {
   std::atomic<bool> poller_set_{false};
 
   CommCounters comm_counters_;
-  support::MetricsRegistry::Histogram lifecycle_latency_ns_;
-  // Lifecycle split at the PRESCRIBED -> ACTIVE edge (sampled while tracing
-  // or prof telemetry is on).
-  support::MetricsRegistry::Histogram inject_to_wire_ns_;
-  support::MetricsRegistry::Histogram wire_to_completion_ns_;
+  // Telemetry: PRESCRIBED -> COMPLETED, split at the ACTIVE edge (registry
+  // entries, shared by every Context in the process).
+  support::MetricsRegistry::Histogram& lifecycle_latency_hist_;
+  support::MetricsRegistry::Histogram& inject_to_wire_hist_;
+  support::MetricsRegistry::Histogram& wire_to_completion_hist_;
   std::uint64_t prof_sampler_id_ = 0;  // comm-queue-depth gauge
 
   std::jthread comm_thread_;

@@ -23,11 +23,6 @@
 
 namespace prof {
 
-namespace detail {
-std::atomic<bool> g_enabled{false};
-std::atomic<bool> g_telemetry{false};
-}  // namespace detail
-
 namespace {
 
 // --- registry ---------------------------------------------------------------
@@ -57,8 +52,9 @@ struct Registry {
   std::mutex gauges_mu;  // held across callback invocation (see add_sampler)
   std::vector<GaugeSampler> gauges;
   std::atomic<std::uint64_t> next_gauge_id{1};
-  std::atomic<int> gauge_period_ms{10};
 };
+
+constexpr std::chrono::milliseconds kGaugePeriod{10};
 
 Registry& reg() {
   static Registry* r = new Registry;  // never destroyed (threads may outlive)
@@ -196,8 +192,7 @@ void cadence_loop() {
     }
     if (telem && now >= next_gauge) {
       run_gauges();
-      next_gauge = now + std::chrono::milliseconds(
-                             r.gauge_period_ms.load(std::memory_order_relaxed));
+      next_gauge = now + kGaugePeriod;
     }
     auto wake = telem ? std::min(next_sample, next_gauge) : next_sample;
     if (!thread_sampling) wake = next_gauge;
@@ -288,14 +283,24 @@ State enter_state(State s) {
   return prev;
 }
 
+std::uint64_t Probe::stamp_slow(Ev e, std::uint32_t a, std::uint64_t b) const {
+  const std::uint64_t now = support::trace::now_ns();
+  if (e != Ev::kNone && tracing()) {
+    support::trace::Ring* r =
+        ring_ != nullptr ? ring_ : support::trace::thread_ring();
+    if (r != nullptr) r->emit(e, now, a, b);
+  }
+  return now;
+}
+
 // --- gates ------------------------------------------------------------------
 
 void set_enabled(bool on) {
-  detail::g_enabled.store(on, std::memory_order_relaxed);
+  support::trace::set_gate(support::trace::kGateProf, on);
 }
 
 void set_telemetry(bool on) {
-  detail::g_telemetry.store(on, std::memory_order_relaxed);
+  support::trace::set_gate(support::trace::kGateTelemetry, on);
   if (on) ensure_cadence_thread();
 }
 
@@ -372,30 +377,6 @@ void remove_sampler(std::uint64_t id) {
                                   return g.id == id;
                                 }),
                  r.gauges.end());
-}
-
-void set_gauge_period_ms(int ms) {
-  reg().gauge_period_ms.store(ms > 0 ? ms : 1, std::memory_order_relaxed);
-}
-
-// --- cached hot-path histograms ---------------------------------------------
-
-support::MetricsRegistry::Histogram& steal_latency_hist() {
-  static auto& h =
-      support::MetricsRegistry::global().histogram("sched.steal_latency_ns");
-  return h;
-}
-
-support::MetricsRegistry::Histogram& task_granularity_hist() {
-  static auto& h =
-      support::MetricsRegistry::global().histogram("sched.task_granularity_ns");
-  return h;
-}
-
-support::MetricsRegistry::Histogram& steal_batch_hist() {
-  static auto& h =
-      support::MetricsRegistry::global().histogram("sched.steal_batch");
-  return h;
 }
 
 // --- reporting ---------------------------------------------------------------
@@ -564,8 +545,8 @@ bool write_report(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) return false;
   std::size_t n = std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  return n == body.size();
+  bool ok = n == body.size();
+  return std::fclose(f) == 0 && ok;
 }
 
 std::string summary() {

@@ -1,14 +1,13 @@
 // hc-prof: sampling profiler and scheduler/comm performance telemetry.
 //
 // Three cooperating pieces, all compiled in unconditionally and off by
-// default:
+// default, each gated by one bit of the process-wide gate word that tracing
+// shares (support::trace::gates()):
 //
 //   1. A *state register*: each runtime thread registers a ThreadProfile and
 //      publishes what it is doing right now (task body, deque op, steal
 //      attempt, comm progress, idle) through a relaxed thread-local store.
-//      Hooks sit at the existing trace points; when profiling is disabled a
-//      hook costs exactly one relaxed load of the global gate, and when
-//      enabled a state switch is two relaxed byte ops — never a clock read.
+//      A state switch is two relaxed byte ops, never a clock read.
 //
 //   2. A *sampling profiler* (--prof-hz=N): per-thread POSIX CPU-time timers
 //      deliver SIGPROF to each registered thread; the handler attributes the
@@ -19,9 +18,13 @@
 //      or speedscope JSON for flamegraphs.
 //
 //   3. *Telemetry* (--prof-telemetry): a cadence thread samples registered
-//      gauge callbacks (deque depth, comm-queue depth), and hot paths that
-//      check prof::telemetry() feed steal-latency / task-granularity /
-//      injection-to-completion histograms into the metrics registry.
+//      gauge callbacks (deque depth, comm-queue depth), and hot paths feed
+//      steal-latency / task-granularity / comm-lifecycle / injection-to-
+//      completion histograms, which are bounded and lock-free.
+//
+// A hot site carries one hook, a Probe: it loads the gate word once, and one
+// clock reading per edge serves the trace ring, the state switch and the
+// histogram alike.
 //
 // Signal-safety rules for the SIGPROF handler (see DESIGN.md §7): it may
 // only read the thread-local ThreadProfile pointer and perform relaxed
@@ -37,6 +40,7 @@
 #include <vector>
 
 #include "support/metrics.h"
+#include "support/trace.h"
 
 namespace prof {
 
@@ -53,18 +57,14 @@ enum class State : std::uint8_t {
 inline constexpr int kNumStates = 6;
 const char* state_name(State s);
 
-// --- global gates ------------------------------------------------------------
+// --- gates -------------------------------------------------------------------
 
-namespace detail {
-extern std::atomic<bool> g_enabled;    // state register + sampling active
-extern std::atomic<bool> g_telemetry;  // histogram/gauge telemetry active
-}  // namespace detail
-
+// The prof and telemetry bits of the gate word.
 inline bool enabled() {
-  return detail::g_enabled.load(std::memory_order_relaxed);
+  return (support::trace::gates() & support::trace::kGateProf) != 0;
 }
 inline bool telemetry() {
-  return detail::g_telemetry.load(std::memory_order_relaxed);
+  return (support::trace::gates() & support::trace::kGateTelemetry) != 0;
 }
 
 // Enables/disables the state register without starting a sampler (tests use
@@ -108,28 +108,81 @@ ThreadProfile* thread_profile();
 // clock read, so time-in-state is derived from sample counts x the sampling
 // period, never measured at transition points (that would make state
 // switches ~20x more expensive and distort exactly the fine-grained task
-// workloads worth profiling). Callers gate on enabled() first — that is
-// what ScopedState does.
+// workloads worth profiling). Hot sites switch through a Probe, which tests
+// the prof bit first.
 State enter_state(State s);
 
-// RAII state switch. Disabled cost: one relaxed load in the constructor,
-// one branch on a cached member in the destructor — no atomics.
-class ScopedState {
+// --- the probe ---------------------------------------------------------------
+
+// The one hook of an instrumented hot site. It loads the gate word once and
+// decides everything from that copy, so a site never tests two gates: a
+// disabled probe costs one relaxed load of an inline atomic and one branch.
+// Each timed edge reads the clock at most once, and the reading serves both
+// the trace-ring event (trace bit) and the telemetry histograms (telemetry
+// bit); the state switch (prof bit) needs no clock.
+class Probe {
  public:
-  explicit ScopedState(State s) {
-    if (!enabled()) return;
-    active_ = true;
-    prev_ = enter_state(s);
+  using Ev = support::trace::Ev;
+  using Histogram = support::MetricsRegistry::Histogram;
+
+  // Trace events go on `ring`, or on the calling thread's ring when null.
+  explicit Probe(support::trace::Ring* ring = nullptr)
+      : gates_(support::trace::gates()), ring_(ring) {}
+
+  // Under the prof bit, the calling thread is in state `s` until the probe
+  // is destroyed; nested probes restore the outer state.
+  explicit Probe(State s, support::trace::Ring* ring = nullptr)
+      : Probe(ring) {
+    if (gates_ & support::trace::kGateProf) [[unlikely]] {
+      prev_ = std::uint8_t(enter_state(s));
+    }
   }
-  ~ScopedState() {
-    if (active_) enter_state(prev_);
+  ~Probe() {
+    if (prev_ != kNoState) [[unlikely]] enter_state(State(prev_));
   }
-  ScopedState(const ScopedState&) = delete;
-  ScopedState& operator=(const ScopedState&) = delete;
+  Probe(const Probe&) = delete;
+  Probe& operator=(const Probe&) = delete;
+
+  bool tracing() const {
+    return (gates_ & support::trace::kGateTrace) != 0;
+  }
+  bool telemetry() const {
+    return (gates_ & support::trace::kGateTelemetry) != 0;
+  }
+
+  // A timed edge: reads the clock when trace or telemetry is on, records `e`
+  // under the trace bit (Ev::kNone records nothing), and returns the reading,
+  // or 0 when neither bit is set.
+  std::uint64_t stamp(Ev e = Ev::kNone, std::uint32_t a = 0,
+                      std::uint64_t b = 0) const {
+    if ((gates_ & kClocked) == 0) [[likely]] return 0;
+    return stamp_slow(e, a, b);
+  }
+  // An event no histogram needs: recorded, and timed, under the trace bit.
+  void instant(Ev e, std::uint32_t a = 0, std::uint64_t b = 0) const {
+    if (tracing()) [[unlikely]] stamp_slow(e, a, b);
+  }
+  // Telemetry samples: a value, or the interval between two stamps (skipped
+  // when `from` is 0, a stamp taken while both clocked bits were clear).
+  void sample(Histogram& h, double v) const {
+    if (telemetry()) [[unlikely]] h.add(v);
+  }
+  void sample(Histogram& h, std::uint64_t from, std::uint64_t to) const {
+    if (telemetry() && from != 0 && to >= from) [[unlikely]] {
+      h.add(double(to - from));
+    }
+  }
 
  private:
-  bool active_ = false;
-  State prev_ = State::kUnattributed;
+  static constexpr std::uint32_t kClocked =
+      support::trace::kGateTrace | support::trace::kGateTelemetry;
+  static constexpr std::uint8_t kNoState = 0xff;
+
+  std::uint64_t stamp_slow(Ev e, std::uint32_t a, std::uint64_t b) const;
+
+  const std::uint32_t gates_;
+  std::uint8_t prev_ = kNoState;
+  support::trace::Ring* const ring_;
 };
 
 // --- sampling profiler -------------------------------------------------------
@@ -160,15 +213,6 @@ void sample_all();
 // callback's captures may be destroyed immediately afterwards.
 std::uint64_t add_sampler(std::function<void()> fn);
 void remove_sampler(std::uint64_t id);
-void set_gauge_period_ms(int ms);  // default 10
-
-// --- cached hot-path histograms ---------------------------------------------
-// Registry lookups take a map lock; hot paths use these once-resolved
-// references instead. Only touched after a telemetry() check passes.
-
-support::MetricsRegistry::Histogram& steal_latency_hist();
-support::MetricsRegistry::Histogram& task_granularity_hist();
-support::MetricsRegistry::Histogram& steal_batch_hist();
 
 // --- reporting & export ------------------------------------------------------
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "prof/prof.h"
 #include "support/metrics.h"
 #include "support/trace.h"
 
@@ -10,8 +11,8 @@ namespace smpi {
 
 namespace {
 // Cached registry entries: the per-message cost while telemetry is on is
-// one histogram add, not a name lookup under the registry lock. Both are
-// recorded after the endpoint lock is released.
+// a lock-free histogram add, not a name lookup under the registry lock.
+// Both are recorded after the endpoint lock is released.
 support::MetricsRegistry::Histogram& inject_to_delivery_hist() {
   static auto& h = support::MetricsRegistry::global().histogram(
       "smpi.injection_to_delivery_ns");
@@ -26,11 +27,6 @@ support::MetricsRegistry::Counter& delivered_counter() {
   static auto& c =
       support::MetricsRegistry::global().counter("smpi.messages_delivered");
   return c;
-}
-
-void add_since(support::MetricsRegistry::Histogram& h, std::uint64_t ts) {
-  std::uint64_t now = support::trace::now_ns();
-  if (now >= ts) h.add(double(now - ts));
 }
 }  // namespace
 
@@ -141,10 +137,17 @@ void Endpoint::deliver(Envelope&& env) {
     }
   }
   wake_waiters();  // a completed wait, or an arrival for a blocking probe
-  if (ts != 0) {
+  // Telemetry counts every delivery; an injection stamp (0 when the sender
+  // had telemetry off, or sits in another process) adds its latencies, both
+  // ending at one clock reading.
+  prof::Probe p;
+  if (p.telemetry()) [[unlikely]] {
     delivered_counter().add();
-    add_since(inject_to_delivery_hist(), ts);
-    if (matched) add_since(inject_to_completion_hist(), ts);
+    if (ts != 0) {
+      const std::uint64_t now = p.stamp();
+      p.sample(inject_to_delivery_hist(), ts, now);
+      if (matched) p.sample(inject_to_completion_hist(), ts, now);
+    }
   }
 }
 
@@ -175,8 +178,11 @@ Request Endpoint::post_recv(void* buf, std::size_t cap, int source, int tag,
     }
     if (!matched) posted_.push_back(Request(req));
   }
-  if (matched && env.ts_inject != 0) {
-    add_since(inject_to_completion_hist(), env.ts_inject);
+  if (matched) {
+    prof::Probe p;
+    if (p.telemetry()) [[unlikely]] {
+      p.sample(inject_to_completion_hist(), env.ts_inject, p.stamp());
+    }
   }
   return req;
 }

@@ -27,7 +27,8 @@ Request Comm::isend(const void* buf, std::size_t bytes, int dest, int tag) {
   env.tag = tag;
   env.context = context_;
   env.payload.assign(buf, bytes);
-  if (prof::telemetry()) env.ts_inject = support::trace::now_ns();
+  prof::Probe p;
+  if (p.telemetry()) [[unlikely]] env.ts_inject = support::trace::now_ns();
   ErrorCode wire = wire_deliver(dest, std::move(env));
 
   // Eager/buffered mode: the payload is out of the user buffer, so the send

@@ -23,8 +23,6 @@ inline constexpr int kAnyTag = -1;
 // user tags can never match collective traffic.
 inline constexpr std::uint32_t kCollectiveContextBit = 0x80000000u;
 
-enum class ThreadLevel { kSingle, kFunneled, kSerialized, kMultiple };
-
 enum class Datatype : std::uint8_t {
   kByte,
   kChar,

@@ -111,7 +111,7 @@ struct World::Net {
   }
 };
 
-World::World(int nprocs, ThreadLevel level) : level_(level) {
+World::World(int nprocs) {
   endpoints_.reserve(std::size_t(nprocs));
   for (int r = 0; r < nprocs; ++r) {
     endpoints_.push_back(std::make_unique<Endpoint>(r));
@@ -222,9 +222,8 @@ bool World::net_shutdown(bool local_error) {
   return err;
 }
 
-void World::run(int nprocs, const std::function<void(Comm&)>& body,
-                ThreadLevel level) {
-  World world(nprocs, level);
+void World::run(int nprocs, const std::function<void(Comm&)>& body) {
+  World world(nprocs);
   std::exception_ptr first_error;
   std::mutex err_mu;
   {

@@ -33,14 +33,13 @@ class Comm;
 
 class World {
  public:
-  explicit World(int nprocs, ThreadLevel level = ThreadLevel::kMultiple);
+  explicit World(int nprocs);
   ~World();
 
   World(const World&) = delete;
   World& operator=(const World&) = delete;
 
   int size() const { return int(endpoints_.size()); }
-  ThreadLevel thread_level() const { return level_; }
   Endpoint& endpoint(int rank) { return *endpoints_[std::size_t(rank)]; }
 
   // The contiguous block of world ranks hosted by this process. Equals
@@ -91,8 +90,7 @@ class World {
   // entry point:
   //
   //   smpi::World::run(4, [](smpi::Comm& comm) { ... });
-  static void run(int nprocs, const std::function<void(Comm&)>& body,
-                  ThreadLevel level = ThreadLevel::kMultiple);
+  static void run(int nprocs, const std::function<void(Comm&)>& body);
 
  private:
   struct Net;
@@ -100,7 +98,6 @@ class World {
   void net_ingest(net::Frame&& f);
 
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
-  ThreadLevel level_;
   std::atomic<std::uint32_t> context_counter_{1};
   // Declared last: destroyed first, so fabric IO threads can still deliver
   // into live endpoints while they wind down.

@@ -1,8 +1,110 @@
 #include "support/metrics.h"
 
-#include <vector>
+#include <algorithm>
+#include <cmath>
 
 namespace support {
+
+// ---------------------------------------------------------------------------
+// Histogram
+// ---------------------------------------------------------------------------
+
+namespace {
+constexpr std::uint64_t kSub = std::uint64_t(1)
+                               << MetricsRegistry::Histogram::kSubBits;
+}  // namespace
+
+double MetricsRegistry::Histogram::bucket_lower(std::size_t i) {
+  const std::size_t block = i >> kSubBits;
+  if (block < 2) return double(i);
+  return std::ldexp(double(kSub + (i & (kSub - 1))), int(block) - 1);
+}
+
+double MetricsRegistry::Histogram::bucket_width(std::size_t i) {
+  const std::size_t block = i >> kSubBits;
+  return block < 2 ? 1.0 : std::ldexp(1.0, int(block) - 1);
+}
+
+void MetricsRegistry::Histogram::merge(const Histogram& other) {
+  if (&other == this) return;
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    const std::uint64_t c = other.buckets_[i].load(std::memory_order_relaxed);
+    if (c != 0) buckets_[i].fetch_add(c, std::memory_order_relaxed);
+  }
+  sum_.fetch_add(other.sum(), std::memory_order_relaxed);
+  lower_to(min_, other.min_.load(std::memory_order_relaxed));
+  raise_to(max_, other.max_.load(std::memory_order_relaxed));
+}
+
+std::uint64_t MetricsRegistry::Histogram::count() const {
+  std::uint64_t n = 0;
+  for (const auto& b : buckets_) n += b.load(std::memory_order_relaxed);
+  return n;
+}
+
+double MetricsRegistry::Histogram::mean() const {
+  const std::uint64_t n = count();
+  return n != 0 ? sum() / double(n) : 0.0;
+}
+
+double MetricsRegistry::Histogram::min() const {
+  const double m = min_.load(std::memory_order_relaxed);
+  return std::isinf(m) ? 0.0 : m;
+}
+
+double MetricsRegistry::Histogram::max() const {
+  const double m = max_.load(std::memory_order_relaxed);
+  return std::isinf(m) ? 0.0 : m;
+}
+
+namespace {
+// The value a bucket stands for: the middle of the integers it holds, kept
+// inside the exact extremes.
+double representative(std::size_t i, double lo, double hi) {
+  using H = MetricsRegistry::Histogram;
+  const double v = H::bucket_lower(i) + (H::bucket_width(i) - 1.0) / 2.0;
+  return std::clamp(v, lo, hi);
+}
+}  // namespace
+
+double MetricsRegistry::Histogram::stddev() const {
+  const std::uint64_t n = count();
+  if (n < 2) return 0.0;
+  const double mu = sum() / double(n);
+  const double lo = min(), hi = max();
+  double ss = 0.0;
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    const std::uint64_t c = buckets_[i].load(std::memory_order_relaxed);
+    if (c == 0) continue;
+    const double d = representative(i, lo, hi) - mu;
+    ss += double(c) * d * d;
+  }
+  return std::sqrt(ss / double(n - 1));
+}
+
+double MetricsRegistry::Histogram::percentile(double p) const {
+  std::array<std::uint64_t, kBuckets> snap{};
+  std::uint64_t n = 0;
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    snap[i] = buckets_[i].load(std::memory_order_relaxed);
+    n += snap[i];
+  }
+  if (n == 0) return 0.0;
+  const double q = std::clamp(p, 0.0, 100.0) / 100.0;
+  const auto rank = std::max<std::uint64_t>(
+      1, std::uint64_t(std::ceil(q * double(n))));
+  std::uint64_t seen = 0;
+  std::size_t i = 0;
+  for (; i + 1 < kBuckets; ++i) {
+    seen += snap[i];
+    if (seen >= rank) break;
+  }
+  return representative(i, min(), max());
+}
+
+// ---------------------------------------------------------------------------
+// Registry
+// ---------------------------------------------------------------------------
 
 MetricsRegistry::Counter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lk(mu_);
@@ -37,20 +139,21 @@ bool MetricsRegistry::has_counter(const std::string& name) const {
   return counters_.count(name) > 0;
 }
 
+MetricsRegistry::Entries MetricsRegistry::entries() const {
+  Entries e;
+  std::lock_guard<std::mutex> lk(mu_);
+  for (const auto& [n, c] : counters_) e.counters.emplace_back(n, c.get());
+  for (const auto& [n, g] : gauges_) e.gauges.emplace_back(n, g.get());
+  for (const auto& [n, h] : histograms_) e.hists.emplace_back(n, h.get());
+  return e;
+}
+
 void MetricsRegistry::merge(const MetricsRegistry& other) {
   if (&other == this) return;
   // Copy the other side's entry pointers under its lock, then fold in
   // without holding both (entries are never deleted, so the pointers stay
-  // valid; counter/gauge reads are atomic, histogram merge locks itself).
-  std::vector<std::pair<std::string, const Counter*>> cs;
-  std::vector<std::pair<std::string, const Gauge*>> gs;
-  std::vector<std::pair<std::string, const Histogram*>> hs;
-  {
-    std::lock_guard<std::mutex> lk(other.mu_);
-    for (const auto& [n, c] : other.counters_) cs.emplace_back(n, c.get());
-    for (const auto& [n, g] : other.gauges_) gs.emplace_back(n, g.get());
-    for (const auto& [n, h] : other.histograms_) hs.emplace_back(n, h.get());
-  }
+  // valid, and every entry reads and merges through its own atomics).
+  const auto [cs, gs, hs] = other.entries();
   for (const auto& [n, c] : cs) counter(n).add(c->value());
   for (const auto& [n, g] : gs) gauge(n).set(g->value());
   for (const auto& [n, h] : hs) histogram(n).merge(*h);
@@ -58,15 +161,7 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
 
 std::string MetricsRegistry::dump() const {
   // Snapshot entry pointers under the map lock, format outside it.
-  std::vector<std::pair<std::string, const Counter*>> cs;
-  std::vector<std::pair<std::string, const Gauge*>> gs;
-  std::vector<std::pair<std::string, const Histogram*>> hs;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const auto& [n, c] : counters_) cs.emplace_back(n, c.get());
-    for (const auto& [n, g] : gauges_) gs.emplace_back(n, g.get());
-    for (const auto& [n, h] : histograms_) hs.emplace_back(n, h.get());
-  }
+  const auto [cs, gs, hs] = entries();
   std::string out;
   char buf[256];
   for (const auto& [n, c] : cs) {
@@ -80,12 +175,11 @@ std::string MetricsRegistry::dump() const {
     out += buf;
   }
   for (const auto& [n, h] : hs) {
-    Stats s = h->stats();
     std::snprintf(buf, sizeof buf,
                   "hist     %-44s count=%llu mean=%.1f p50=%.1f p95=%.1f "
                   "max=%.1f\n",
-                  n.c_str(), (unsigned long long)s.count(), s.mean(),
-                  h->percentile(50), h->percentile(95), s.max());
+                  n.c_str(), (unsigned long long)h->count(), h->mean(),
+                  h->percentile(50), h->percentile(95), h->max());
     out += buf;
   }
   return out;
@@ -121,15 +215,7 @@ void append_num(std::string& out, double v) {
 }  // namespace
 
 std::string MetricsRegistry::dump_json() const {
-  std::vector<std::pair<std::string, const Counter*>> cs;
-  std::vector<std::pair<std::string, const Gauge*>> gs;
-  std::vector<std::pair<std::string, const Histogram*>> hs;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const auto& [n, c] : counters_) cs.emplace_back(n, c.get());
-    for (const auto& [n, g] : gauges_) gs.emplace_back(n, g.get());
-    for (const auto& [n, h] : histograms_) hs.emplace_back(n, h.get());
-  }
+  const auto [cs, gs, hs] = entries();
   std::string out = "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [n, c] : cs) {
@@ -157,7 +243,6 @@ std::string MetricsRegistry::dump_json() const {
     out += "    \"";
     json_escape(out, n);
     out += "\": {";
-    Stats s = h->stats();
     auto field = [&](const char* k, double v, bool last = false) {
       out += "\"";
       out += k;
@@ -165,12 +250,12 @@ std::string MetricsRegistry::dump_json() const {
       append_num(out, v);
       if (!last) out += ", ";
     };
-    field("count", double(s.count()));
-    field("mean", s.mean());
-    field("stddev", s.stddev());
-    field("min", s.min());
-    field("max", s.max());
-    field("sum", s.sum());
+    field("count", double(h->count()));
+    field("mean", h->mean());
+    field("stddev", h->stddev());
+    field("min", h->min());
+    field("max", h->max());
+    field("sum", h->sum());
     field("p50", h->percentile(50));
     field("p90", h->percentile(90));
     field("p95", h->percentile(95));

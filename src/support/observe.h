@@ -20,11 +20,15 @@
 //                          portable wall-clock sampler thread
 //   --prof-telemetry       scheduler/comm telemetry histograms and cadence
 //                          gauges (independent of --prof-hz: costs a clock
-//                          read + histogram insert per coarse event)
-//   --steal=one|half|adaptive  process-wide steal-batch policy (parsed by
+//                          read + lock-free, bounded histogram insert per
+//                          coarse event)
+//   --steal=one|half       process-wide steal-batch policy (parsed by
 //                          benchutil::Session, not here — support/ cannot
 //                          depend on core/ — but recognized below so argv
 //                          partitioning keeps it away from other parsers)
+//
+// Tracing, profiling and telemetry are bits of one gate word that each hot
+// site tests once, through a prof::Probe.
 #pragma once
 
 #include <cstdio>
@@ -73,8 +77,8 @@ class Observe {
       cfg.use_signal = flags.get("prof-mode", "signal") != "thread";
       prof_started_ = prof::start(cfg);
       // Deliberately does NOT imply --prof-telemetry: sampling alone stays
-      // inside the 5% overhead budget; telemetry's per-event histogram
-      // inserts do not, so combining them is an explicit choice.
+      // inside the 5% overhead budget; telemetry's per-event clock reads and
+      // histogram inserts do not, so combining them is an explicit choice.
     }
     if (telemetry_) prof::set_telemetry(true);
   }

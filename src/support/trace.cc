@@ -17,9 +17,6 @@ namespace support::trace {
 // ---------------------------------------------------------------------------
 
 namespace {
-std::atomic<bool> g_enabled{false};
-std::atomic<std::size_t> g_default_capacity{8192};
-
 std::uint64_t steady_now() {
   return std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
                            std::chrono::steady_clock::now().time_since_epoch())
@@ -38,21 +35,21 @@ std::size_t round_up_pow2(std::size_t n) {
 }
 }  // namespace
 
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
-void set_enabled(bool on) {
-  if (on) epoch();  // pin the epoch before the first event
-  g_enabled.store(on, std::memory_order_relaxed);
+void set_gate(Gate g, bool on) {
+  if (on) {
+    epoch();  // pin the epoch before the first stamp
+    detail::g_gates.fetch_or(g, std::memory_order_relaxed);
+  } else {
+    detail::g_gates.fetch_and(~std::uint32_t(g), std::memory_order_relaxed);
+  }
 }
 
-std::uint64_t now_ns() { return steady_now() - epoch(); }
+void set_enabled(bool on) { set_gate(kGateTrace, on); }
 
-void set_default_ring_capacity(std::size_t cap) {
-  g_default_capacity.store(cap < 2 ? 2 : cap, std::memory_order_relaxed);
-}
-
-std::size_t default_ring_capacity() {
-  return g_default_capacity.load(std::memory_order_relaxed);
+std::uint64_t now_ns() {
+  // The epoch first: a first call must not read the clock before pinning it.
+  const std::uint64_t e = epoch();
+  return steady_now() - e;
 }
 
 const char* ev_name(Ev e) {
@@ -102,7 +99,7 @@ void set_thread_ring(Ring* r) { t_ring = r; }
 // ---------------------------------------------------------------------------
 
 Ring::Ring(std::size_t capacity_pow2)
-    : mask_(round_up_pow2(capacity_pow2 == 0 ? default_ring_capacity()
+    : mask_(round_up_pow2(capacity_pow2 == 0 ? kDefaultRingCapacity
                                              : capacity_pow2) -
             1),
       slots_(new Slot[mask_ + 1]) {}

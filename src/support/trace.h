@@ -10,8 +10,9 @@
 //   * Fixed capacity, drop-oldest: the producer never blocks and never
 //     fails; a full ring silently overwrites its oldest slot and bumps a
 //     dropped counter so the exporter can report truncation.
-//   * Runtime gate: every record first checks a process-wide relaxed atomic
-//     flag; with tracing disabled the cost is one predictable branch.
+//   * Runtime gate: every record first tests the trace bit of the process-
+//     wide gate word (below); with tracing disabled the cost is one relaxed
+//     load of an inline atomic and one predictable branch.
 //   * Snapshots may run concurrently with the producer. The reader validates
 //     each copied slot against the head index afterwards and discards slots
 //     the producer may have been overwriting (bounded staleness instead of
@@ -86,25 +87,41 @@ struct Event {
   std::uint64_t b = 0;
 };
 
-// --- process-wide gate and clock -------------------------------------------
+// --- process-wide gate word and clock --------------------------------------
 
-// Relaxed-atomic global gate; record() is a no-op while disabled.
-bool enabled();
+// Tracing, the profiler's state register and telemetry are three bits of one
+// relaxed atomic word, so an instrumented site loads the word once and
+// decides everything from that copy (prof::Probe).
+enum Gate : std::uint32_t {
+  kGateTrace = 1u << 0,      // ring events (record() below)
+  kGateProf = 1u << 1,       // the prof state register (prof::enabled)
+  kGateTelemetry = 1u << 2,  // telemetry histograms (prof::telemetry)
+};
+
+namespace detail {
+inline std::atomic<std::uint32_t> g_gates{0};
+}  // namespace detail
+
+inline std::uint32_t gates() {
+  return detail::g_gates.load(std::memory_order_relaxed);
+}
+void set_gate(Gate g, bool on);
+
+// The trace bit; record() is a no-op while it is clear.
+inline bool enabled() { return (gates() & kGateTrace) != 0; }
 void set_enabled(bool on);
 
 // Monotonic nanoseconds since the process trace epoch (first call).
 std::uint64_t now_ns();
 
-// Capacity (in events, rounded up to a power of two) used by rings
-// constructed after the call. Default 8192.
-void set_default_ring_capacity(std::size_t cap);
-std::size_t default_ring_capacity();
+// Capacity (in events) of a ring constructed with capacity 0.
+inline constexpr std::size_t kDefaultRingCapacity = 8192;
 
 // --- the per-worker ring ----------------------------------------------------
 
 class Ring {
  public:
-  explicit Ring(std::size_t capacity_pow2 = 0);  // 0 = process default
+  explicit Ring(std::size_t capacity_pow2 = 0);  // 0 = kDefaultRingCapacity
 
   Ring(const Ring&) = delete;
   Ring& operator=(const Ring&) = delete;

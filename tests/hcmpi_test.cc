@@ -1,6 +1,8 @@
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,7 +11,9 @@
 #include "core/ddf.h"
 #include "hcmpi/context.h"
 #include "hcmpi/phaser_bridge.h"
+#include "prof/prof.h"
 #include "smpi/world.h"
+#include "support/metrics.h"
 
 namespace {
 
@@ -153,6 +157,37 @@ TEST(Hcmpi, CommTaskSlotsAreRecycled) {
     }
     EXPECT_GT(ctx.tasks_recycled(), 100u);
   });
+}
+
+TEST(Hcmpi, LifecycleLatencyIgnoresARecycledSlotsStaleStamps) {
+  // A comm-task slot recycled from a timed incarnation, posted while
+  // telemetry is off and completed after it is back on, must not pair its
+  // old PRESCRIBED stamp with the new COMPLETED one: that "latency" would
+  // span the whole untimed sleep.
+  constexpr auto kSleep = std::chrono::milliseconds(50);
+  auto& lat = support::MetricsRegistry::global().histogram(
+      "hcmpi.comm_task_latency_ns");
+  run_hcmpi(1, 1, [&](hcmpi::Context& ctx) {
+    int out = 1, in = 0;
+    prof::set_telemetry(true);
+    {
+      auto r = ctx.irecv(&in, sizeof in, 0, 7);
+      auto s = ctx.isend(&out, sizeof out, 0, 7);
+      ctx.wait(r);
+      ctx.wait(s);
+    }  // both handles dropped: the slots go back to the pool
+    prof::set_telemetry(false);
+    auto r = ctx.irecv(&in, sizeof in, 0, 8);  // a recycled slot, untimed
+    std::this_thread::sleep_for(kSleep);
+    prof::set_telemetry(true);
+    auto s = ctx.isend(&out, sizeof out, 0, 8);
+    ctx.wait(r);
+    ctx.wait(s);
+    prof::set_telemetry(false);
+  });
+  EXPECT_GE(lat.count(), 3u);  // the timed pair, and the timed send
+  EXPECT_LT(lat.max(), std::chrono::nanoseconds(kSleep).count())
+      << "a latency paired a stale stamp";
 }
 
 TEST(Hcmpi, RequestHandleOutlivesItsContext) {

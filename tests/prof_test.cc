@@ -1,7 +1,9 @@
-// hc-prof tests: deterministic state attribution, histogram merge across
-// workers/ranks, the canonical BENCH report round-trip and the bench_compare
-// verdicts, plus the trace.dropped overflow counter.
+// hc-prof tests: deterministic state attribution, the probe's gating,
+// histogram merge across workers/ranks, the canonical BENCH report
+// round-trip and the bench_compare verdicts, plus the trace.dropped overflow
+// counter.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -17,11 +19,12 @@
 
 namespace {
 
-// Restores the prof gates around each scenario so tests compose.
+// Restores the gates around each scenario so tests compose.
 struct ProfGuard {
   ~ProfGuard() {
     prof::set_enabled(false);
     prof::set_telemetry(false);
+    support::trace::set_enabled(false);
     prof::reset();
   }
 };
@@ -62,10 +65,10 @@ TEST(ProfState, ScopedStateNestsAndRestores) {
 
   prof::enter_state(prof::State::kTaskBody);
   {
-    prof::ScopedState steal(prof::State::kStealAttempt);
+    prof::Probe steal(prof::State::kStealAttempt);
     prof::sample_all();
     {
-      prof::ScopedState deque(prof::State::kDequeOp);
+      prof::Probe deque(prof::State::kDequeOp);
       prof::sample_all();
     }
     prof::sample_all();  // back to steal after the inner scope
@@ -87,13 +90,83 @@ TEST(ProfState, DisabledHooksAreNoOps) {
   prof::set_enabled(false);
   prof::register_thread("disabled-test");
   {
-    prof::ScopedState s(prof::State::kTaskBody);  // gate off: no transition
+    prof::Probe p(prof::State::kTaskBody);  // gate off: no transition
+    prof::sample_all();  // samples only live profiles; state stays 0
   }
-  prof::sample_all();  // samples only live profiles; state stays 0
   auto* p = prof::thread_profile();
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->samples[int(prof::State::kTaskBody)].load(), 0u);
   EXPECT_EQ(p->samples[int(prof::State::kUnattributed)].load(), 1u);
+  prof::unregister_thread();
+}
+
+// Each gate bit drives only its own hook: telemetry alone records no ring
+// event, tracing alone adds no histogram sample, and with every bit clear
+// the state register is left alone.
+TEST(ProfProbe, EachBitGatesOnlyItsHook) {
+  ProfGuard guard;
+  prof::reset();
+  prof::register_thread("probe-test");
+  support::MetricsRegistry reg;
+  auto& h = reg.histogram("probe.lat");
+  support::trace::Ring ring(64);
+  auto edge = [&] {
+    prof::Probe p(prof::State::kTaskBody, &ring);
+    const std::uint64_t t0 = p.stamp(support::trace::Ev::kTaskStart, 1);
+    p.instant(support::trace::Ev::kTaskSpawn, 1);
+    p.sample(h, t0, p.stamp(support::trace::Ev::kTaskEnd, 1));
+    p.sample(h, 3.0);
+    prof::sample_all();  // attributes one sample to the state inside
+  };
+  auto* me = prof::thread_profile();
+  ASSERT_NE(me, nullptr);
+
+  prof::set_telemetry(true);
+  edge();
+  EXPECT_EQ(ring.recorded(), 0u) << "telemetry alone recorded a ring event";
+  EXPECT_EQ(h.count(), 2u);
+
+  prof::set_telemetry(false);
+  support::trace::set_enabled(true);
+  edge();
+  EXPECT_EQ(ring.recorded(), 3u);  // start, spawn, end
+  EXPECT_EQ(h.count(), 2u) << "tracing alone added a histogram sample";
+  support::trace::set_enabled(false);
+
+  edge();
+  EXPECT_EQ(ring.recorded(), 3u);
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(me->samples[int(prof::State::kTaskBody)].load(), 0u)
+      << "a probe switched state with every bit clear";
+  EXPECT_EQ(me->samples[int(prof::State::kUnattributed)].load(), 3u);
+
+  prof::set_enabled(true);
+  edge();
+  EXPECT_EQ(me->samples[int(prof::State::kTaskBody)].load(), 1u);
+  EXPECT_EQ(ring.recorded(), 3u);
+  EXPECT_EQ(h.count(), 2u);
+  prof::unregister_thread();
+}
+
+// write_report must surface a failed close: /dev/full takes a small buffered
+// write and then fails the flush inside fclose.
+TEST(ProfReport, WriteReportFailsWhenCloseFails) {
+  if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  ProfGuard guard;
+  prof::reset();
+  prof::set_enabled(true);
+  prof::register_thread("report-test");
+  prof::enter_state(prof::State::kTaskBody);
+  prof::sample_all();  // a non-empty collapsed-stack body
+  prof::enter_state(prof::State::kUnattributed);
+
+  EXPECT_FALSE(prof::write_report("/dev/full"));  // collapsed stacks
+  // Speedscope output is chosen by the .json suffix.
+  const std::string link = testing::TempDir() + "prof_report_full.json";
+  std::remove(link.c_str());
+  ASSERT_EQ(symlink("/dev/full", link.c_str()), 0);
+  EXPECT_FALSE(prof::write_report(link));
+  std::remove(link.c_str());
   prof::unregister_thread();
 }
 
@@ -158,15 +231,20 @@ TEST(Metrics, HistogramMergeAcrossWorkersAndRanks) {
   merged.merge(rank0);
   merged.merge(rank1);
 
-  auto stats = merged.histogram("lat").stats();
-  EXPECT_EQ(stats.count(), 200u);
-  EXPECT_EQ(stats.min(), 1);
-  EXPECT_EQ(stats.max(), 1100);
-  // Median straddles the two populations; p90 lands in rank1's range.
-  double p50 = merged.histogram("lat").percentile(50);
-  EXPECT_GE(p50, 100);
-  EXPECT_LE(p50, 1001);
-  EXPECT_GE(merged.histogram("lat").percentile(90), 1050);
+  const auto& h = merged.histogram("lat");
+  EXPECT_EQ(h.count(), 200u);
+  EXPECT_EQ(h.min(), 1);
+  EXPECT_EQ(h.max(), 1100);
+  EXPECT_EQ(h.sum(), 5050 + 105050);
+  // Percentiles resolve to one bucket. The median is the 100th sample (100,
+  // the top of rank0's range); p90 the 180th (1080, inside rank1's).
+  using H = support::MetricsRegistry::Histogram;
+  auto buckets_apart = [](double a, double b) {
+    std::size_t x = H::bucket_of(a), y = H::bucket_of(b);
+    return x > y ? x - y : y - x;
+  };
+  EXPECT_LE(buckets_apart(h.percentile(50), 100), 1u) << h.percentile(50);
+  EXPECT_LE(buckets_apart(h.percentile(90), 1080), 1u) << h.percentile(90);
   // Counters add across ranks.
   rank0.counter("msgs").add(7);
   rank1.counter("msgs").add(5);

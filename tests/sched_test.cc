@@ -215,9 +215,6 @@ TEST(StealPolicy, EveryTaskRunsExactlyOnceUnderOne) {
 TEST(StealPolicy, EveryTaskRunsExactlyOnceUnderHalf) {
   run_burst_under_policy(hc::StealPolicy::kHalf);
 }
-TEST(StealPolicy, EveryTaskRunsExactlyOnceUnderAdaptive) {
-  run_burst_under_policy(hc::StealPolicy::kAdaptive);
-}
 
 TEST(StealPolicy, ParseAndNameRoundTrip) {
   hc::StealPolicy p = hc::StealPolicy::kDefault;
@@ -225,10 +222,9 @@ TEST(StealPolicy, ParseAndNameRoundTrip) {
   EXPECT_EQ(p, hc::StealPolicy::kOne);
   EXPECT_TRUE(hc::parse_steal_policy("half", &p));
   EXPECT_EQ(p, hc::StealPolicy::kHalf);
-  EXPECT_TRUE(hc::parse_steal_policy("adaptive", &p));
-  EXPECT_EQ(p, hc::StealPolicy::kAdaptive);
+  EXPECT_FALSE(hc::parse_steal_policy("adaptive", &p));  // deleted policy
   EXPECT_FALSE(hc::parse_steal_policy("most", &p));
-  EXPECT_EQ(p, hc::StealPolicy::kAdaptive);  // untouched on failure
+  EXPECT_EQ(p, hc::StealPolicy::kHalf);  // untouched on failure
   EXPECT_STREQ(hc::steal_policy_name(hc::StealPolicy::kHalf), "half");
 }
 
@@ -238,10 +234,10 @@ TEST(StealPolicy, ConfigOverridesProcessDefault) {
   cfg.steal = hc::StealPolicy::kOne;
   hc::Runtime rt(cfg);
   EXPECT_EQ(rt.worker(0).steal_policy(), hc::StealPolicy::kOne);
-  EXPECT_FALSE(rt.worker(0).stealing_half());
 
   hc::Runtime def({.num_workers = 1});
   EXPECT_EQ(def.worker(0).steal_policy(), hc::default_steal_policy());
+  EXPECT_EQ(hc::default_steal_policy(), hc::StealPolicy::kHalf);
 }
 
 // --- idle behavior -----------------------------------------------------------

@@ -1,5 +1,8 @@
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstdlib>
+#include <new>
 #include <set>
 #include <thread>
 #include <vector>
@@ -13,8 +16,22 @@
 #include "support/sha1.h"
 #include "support/spin.h"
 #include "support/metrics.h"
-#include "support/spsc_ring.h"
-#include "support/stats.h"
+
+// Heap allocations in this binary, counted by replacing the global operator
+// new as alloc_test does, so a test can assert that a path allocates nothing.
+namespace {
+std::atomic<std::uint64_t> g_news{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -232,138 +249,6 @@ TEST(Mpsc, MultiProducerDeliversAll) {
   EXPECT_TRUE(q.empty_approx());
 }
 
-// --- SPSC ring ------------------------------------------------------------------
-
-TEST(Spsc, PushPopRoundTrip) {
-  support::SpscRing<int> r(8);
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 8; ++i) EXPECT_TRUE(r.try_push(i));
-    EXPECT_FALSE(r.try_push(99));  // full
-    int v;
-    for (int i = 0; i < 8; ++i) {
-      EXPECT_TRUE(r.try_pop(v));
-      EXPECT_EQ(v, i);
-    }
-    EXPECT_FALSE(r.try_pop(v));  // empty
-  }
-}
-
-TEST(Spsc, ConcurrentStream) {
-  support::SpscRing<int> r(64);
-  constexpr int kN = 100000;
-  std::thread producer([&] {
-    for (int i = 0; i < kN;) {
-      if (r.try_push(i)) ++i;
-    }
-  });
-  long long sum = 0;
-  for (int got = 0; got < kN;) {
-    int v;
-    if (r.try_pop(v)) {
-      EXPECT_EQ(v, got);
-      sum += v;
-      ++got;
-    }
-  }
-  producer.join();
-  EXPECT_EQ(sum, (long long)kN * (kN - 1) / 2);
-}
-
-// --- Stats ---------------------------------------------------------------------
-
-TEST(Stats, WelfordMeanAndStddev) {
-  support::Stats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 0.001);  // sample stddev
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-  EXPECT_EQ(s.count(), 8u);
-}
-
-TEST(Stats, PercentilesInterpolate) {
-  support::Percentiles p;
-  for (int i = 1; i <= 100; ++i) p.add(double(i));
-  EXPECT_DOUBLE_EQ(p.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(p.percentile(100), 100.0);
-  EXPECT_NEAR(p.percentile(50), 50.5, 0.01);
-  EXPECT_NEAR(p.percentile(99), 99.01, 0.1);
-}
-
-TEST(Stats, FormatNs) {
-  EXPECT_EQ(support::format_ns(500), "500.0 ns");
-  EXPECT_EQ(support::format_ns(2500), "2.50 us");
-  EXPECT_EQ(support::format_ns(3.5e6), "3.50 ms");
-  EXPECT_EQ(support::format_ns(2.25e9), "2.250 s");
-}
-
-TEST(Stats, MergeMatchesSingleStream) {
-  // Chan et al. parallel combine must agree with feeding one Stats directly.
-  support::Stats whole, left, right;
-  for (int i = 0; i < 50; ++i) {
-    double x = 3.0 * i - 20.0;
-    whole.add(x);
-    (i % 2 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.stddev(), whole.stddev(), 1e-9);
-  EXPECT_EQ(left.min(), whole.min());
-  EXPECT_EQ(left.max(), whole.max());
-}
-
-TEST(Stats, MergeWithEmptySides) {
-  support::Stats a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(empty);  // no-op
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  empty.merge(a);  // adopt
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
-TEST(Stats, PercentilesPartialSelectionMatchesSortedPath) {
-  // The first few queries use nth_element partial selection; repeated
-  // queries trip a full sort. Both paths must return identical values.
-  std::vector<double> xs;
-  support::Xoshiro256 rng(11);
-  for (int i = 0; i < 999; ++i) xs.push_back(double(rng.next_below(10000)));
-  support::Percentiles sorted;
-  for (double x : xs) sorted.add(x);
-  for (int i = 0; i < 10; ++i) (void)sorted.percentile(50);  // force the sort
-  for (double q : {0.0, 10.0, 50.0, 90.0, 99.0, 100.0}) {
-    support::Percentiles fresh;  // every query hits the selection path
-    fresh.reserve(xs.size());
-    for (double x : xs) fresh.add(x);
-    EXPECT_DOUBLE_EQ(fresh.percentile(q), sorted.percentile(q)) << "q=" << q;
-  }
-}
-
-TEST(Stats, PercentilesMerge) {
-  support::Percentiles a, b, whole;
-  for (int i = 1; i <= 60; ++i) {
-    ((i % 3 == 0) ? a : b).add(double(i));
-    whole.add(double(i));
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  for (double q : {0.0, 25.0, 50.0, 95.0, 100.0}) {
-    EXPECT_DOUBLE_EQ(a.percentile(q), whole.percentile(q)) << "q=" << q;
-  }
-}
-
-TEST(Stats, PercentilesSelfMergeDoubles) {
-  support::Percentiles p;
-  for (int i = 1; i <= 10; ++i) p.add(double(i));
-  p.merge(p);
-  EXPECT_EQ(p.count(), 20u);
-  EXPECT_DOUBLE_EQ(p.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(p.percentile(100), 10.0);
-}
-
 // --- Metrics registry -------------------------------------------------------------
 
 TEST(Metrics, CounterGaugeHistogram) {
@@ -398,6 +283,106 @@ TEST(Metrics, MergeAcrossRegistries) {
   EXPECT_DOUBLE_EQ(r0.gauge("watermark").value(), 4.0);  // latest wins
   std::string text = r0.dump();
   EXPECT_NE(text.find("count=2"), std::string::npos);
+}
+
+using Histogram = support::MetricsRegistry::Histogram;
+
+TEST(Metrics, HistogramBucketsTileTheLine) {
+  // Every bucket holds exactly the values [lower, lower + width), and the
+  // next bucket starts where it ends.
+  for (std::size_t i = 0; i + 1 < Histogram::kBuckets; ++i) {
+    const double lo = Histogram::bucket_lower(i);
+    const double w = Histogram::bucket_width(i);
+    ASSERT_EQ(Histogram::bucket_of(lo), i) << "lower of " << i;
+    ASSERT_EQ(Histogram::bucket_of(std::nextafter(lo + w, 0.0)), i)
+        << "top of " << i;
+    ASSERT_EQ(Histogram::bucket_lower(i + 1), lo + w) << "after " << i;
+    // Resolution: from 16 on, one bucket is at most 1/16 of its values.
+    if (lo >= 16) {
+      ASSERT_LE(w / lo, 1.0 / 16) << i;
+    }
+  }
+  EXPECT_EQ(Histogram::bucket_of(-5.0), 0u);
+  EXPECT_EQ(Histogram::bucket_of(0.5), 0u);
+  EXPECT_EQ(Histogram::bucket_of(1e30), Histogram::kBuckets - 1);
+}
+
+TEST(Metrics, HistogramSmallIntegersAreExact) {
+  // Below 2^5 every integer has its own bucket, so percentiles are exact.
+  support::MetricsRegistry reg;
+  auto& h = reg.histogram("small");
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.percentile(50), 0.0);
+  EXPECT_EQ(h.min(), 0.0);
+  for (int i = 1; i <= 20; ++i) h.add(double(i));
+  EXPECT_EQ(h.count(), 20u);
+  EXPECT_EQ(h.sum(), 210.0);
+  EXPECT_EQ(h.min(), 1.0);
+  EXPECT_EQ(h.max(), 20.0);
+  EXPECT_EQ(h.mean(), 10.5);
+  EXPECT_EQ(h.percentile(0), 1.0);
+  EXPECT_EQ(h.percentile(50), 10.0);  // nearest rank: the 10th of 20
+  EXPECT_EQ(h.percentile(95), 19.0);
+  EXPECT_EQ(h.percentile(100), 20.0);
+  EXPECT_NEAR(h.stddev(), 5.916, 0.001);  // sample stddev of 1..20
+  h.merge(h);  // self-merge is a no-op
+  EXPECT_EQ(h.count(), 20u);
+}
+
+// 4 threads feed 10^7 seeded, log-uniform samples from 1 ns to 1 s into one
+// registry histogram at once. count, sum, min and max must come out exact,
+// p50 and p99 within one bucket of the sorted samples, and no add after the
+// first may touch the heap.
+TEST(Metrics, HistogramIsExactBoundedAndLockFreeUnderThreads) {
+  constexpr int kThreads = 4;
+  constexpr std::size_t kPerThread = 2500000;
+  // Thread t adds all[t * kPerThread, (t + 1) * kPerThread).
+  std::vector<std::uint32_t> all(kThreads * kPerThread);
+  for (int t = 0; t < kThreads; ++t) {
+    support::Xoshiro256 rng(std::uint64_t(1000 + t));
+    for (std::size_t i = 0; i < kPerThread; ++i) {
+      all[std::size_t(t) * kPerThread + i] =
+          std::uint32_t(std::exp(rng.next_double() * std::log(1e9)));
+    }
+  }
+  support::MetricsRegistry reg;
+  auto& h = reg.histogram("lat");
+  h.add(1.0);  // the first add; the exact set below includes it
+
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (!go.load()) std::this_thread::yield();
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        h.add(double(all[std::size_t(t) * kPerThread + i]));
+      }
+    });
+  }
+  while (ready.load() < kThreads) std::this_thread::yield();
+  const std::uint64_t news_before = g_news.load();
+  go.store(true);
+  for (auto& th : ts) th.join();
+  EXPECT_EQ(g_news.load(), news_before) << "a histogram add allocated";
+
+  all.push_back(1);
+  std::sort(all.begin(), all.end());
+  std::uint64_t sum = 0;
+  for (std::uint32_t x : all) sum += x;
+  EXPECT_EQ(h.count(), all.size());
+  EXPECT_EQ(h.sum(), double(sum));  // every partial sum is an exact double
+  EXPECT_EQ(h.min(), double(all.front()));
+  EXPECT_EQ(h.max(), double(all.back()));
+  for (double p : {50.0, 99.0}) {
+    const auto rank = std::size_t(std::ceil(p / 100 * double(all.size())));
+    const auto exact = double(all[rank - 1]);
+    const auto got = Histogram::bucket_of(h.percentile(p));
+    const auto want = Histogram::bucket_of(exact);
+    EXPECT_LE(got > want ? got - want : want - got, 1u)
+        << "p" << p << ": " << h.percentile(p) << " vs exact " << exact;
+  }
 }
 
 TEST(Metrics, CountersAreThreadSafe) {

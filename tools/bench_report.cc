@@ -4,14 +4,14 @@
 // canonical report:
 //
 //   bench_report [--out=BENCH_9.json] [--reps=5] [--warmup=1] [--workers=4]
-//                [--steal=one|half|adaptive] [--transport=thread|socket]
+//                [--steal=one|half] [--transport=thread|socket]
 //                [--only=bench1,bench2] [--quick] [--quiet]
 //
 //   --quick shrinks every workload (1 warmup, 3 reps, smaller trees/counts)
 //   for the CI perf-smoke lane; nightly/local runs use the defaults.
 //   --steal pins the scheduler's steal-batch policy for the whole run and
 //   --only restricts to a subset of the workloads — together they drive the
-//   CI steal-ablation step (one vs adaptive on runtime_micro).
+//   CI steal-ablation step (one vs half on runtime_micro).
 //   --transport pins the wire for the run (smpi_msgrate is the workload that
 //   touches it); the smpi_msgrate_socket section always forces loopback
 //   sockets and is recorded ungated, so the default report carries a
@@ -95,7 +95,7 @@ int run_benchmarks(const support::Flags& flags) {
     hc::StealPolicy p;
     if (!hc::parse_steal_policy(o.steal, &p)) {
       std::fprintf(stderr, "bench_report: bad --steal=%s "
-                   "(want one|half|adaptive)\n", o.steal.c_str());
+                   "(want one|half)\n", o.steal.c_str());
       return 2;
     }
   }
