@@ -79,7 +79,7 @@ void DdfBase::release_waiters() {
   // Snapshot the putter's clock *before* any waiter can be released: a DDT
   // fired below may start running (and join this clock) immediately.
   check::on_ddf_put(this);
-  WaitNode* list = head_.exchange(kReady, std::memory_order_acq_rel);
+  WaitNode* list = head_.exchange(kReady, std::memory_order_seq_cst);
   while (list != nullptr && list != kReady) {
     WaitNode* next = list->next;
     if (AwaitFrame* f = list->frame) {

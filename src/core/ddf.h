@@ -44,8 +44,10 @@ class DdfBase {
   DdfBase& operator=(const DdfBase&) = delete;
   virtual ~DdfBase();
 
+  // seq_cst, as is the put's swap of the wait list: a thread that parks on
+  // a put (hcmpi::RequestImpl) checks this after registering.
   bool satisfied() const {
-    return head_.load(std::memory_order_acquire) == kReady;
+    return head_.load(std::memory_order_seq_cst) == kReady;
   }
 
   // Attempts to register node (task.h); returns false if the DDF is already

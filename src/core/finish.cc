@@ -1,33 +1,25 @@
+#include <thread>
+
 #include "core/runtime.h"
 #include "core/task.h"
-#include "support/spin.h"
 
 namespace hc {
 
+void FinishScope::drained() {
+  Runtime& rt = rt_;
+  const bool waited = ec_.notify();
+  released_.store(true, std::memory_order_release);
+  // A helping owner registered on ec_ but parks on its runtime's doorbell.
+  if (waited) rt.notify_work();
+}
+
 void FinishScope::wait_and_rethrow() {
   dec();  // drop the owner token
-  Worker* w = Runtime::current_worker();
-  if (w != nullptr && w->is_computation() &&
-      Runtime::current_runtime() == &rt_) {
-    // Help-first wait: execute other tasks until this scope drains. Tasks we
-    // help with may belong to unrelated scopes; run_task saves/restores the
-    // thread-local finish pointer so nesting stays correct.
-    support::Backoff backoff;
-    while (!done()) {
-      if (Task* t = w->try_get_task()) {
-        w->execute(t);
-        backoff.reset();
-      } else {
-        backoff.pause();
-      }
-    }
-  } else {
-    // External (or foreign-runtime) thread: block on the counter.
-    std::int64_t c;
-    while ((c = count_.load(std::memory_order_acquire)) != 0) {
-      count_.wait(c, std::memory_order_acquire);
-    }
-  }
+  // Tasks we help with may belong to unrelated scopes; run_task saves and
+  // restores the thread-local finish pointer so nesting stays correct.
+  wait_until("finish", [this] { return done(); }, ec_, &rt_);
+  // Yield, not pause: waking us may have preempted the ringing thread.
+  while (!released_.load(std::memory_order_acquire)) std::this_thread::yield();
   // Finish join edge: the waiter acquires every governed task's history and
   // the scope closes for escape detection. Runs on the exceptional exit too.
   check::on_finish_join(this);

@@ -1,7 +1,6 @@
 #include "core/runtime.h"
 
 #include <cassert>
-#include <chrono>
 #include <stdexcept>
 
 #include "core/place.h"
@@ -61,10 +60,7 @@ Runtime::~Runtime() {
   // remove_sampler blocks until an in-flight invocation returns.
   prof::remove_sampler(prof_sampler_id_);
   stopping_.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lk(idle_mu_);
-    idle_cv_.notify_all();
-  }
+  notify_work();
   for (auto& w : workers_) w->join();
   // Worker threads are quiescent now: flush rings and counters while the
   // per-worker state is still alive.
@@ -144,22 +140,6 @@ Task* Runtime::pop_injected() {
   injected_.pop_front();
   injected_size_.store(injected_.size(), std::memory_order_relaxed);
   return t;
-}
-
-void Runtime::notify_work() {
-  if (idle_count_.load(std::memory_order_acquire) > 0) {
-    std::lock_guard<std::mutex> lk(idle_mu_);
-    idle_cv_.notify_one();
-  }
-}
-
-void Runtime::idle_wait() {
-  std::unique_lock<std::mutex> lk(idle_mu_);
-  idle_count_.fetch_add(1, std::memory_order_acq_rel);
-  // Bounded wait: a missed notify costs at most 1 ms, and the single-core CI
-  // host depends on parked (not spinning) idle workers.
-  idle_cv_.wait_for(lk, std::chrono::milliseconds(1));
-  idle_count_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 std::uint64_t Runtime::total_tasks_executed() const {

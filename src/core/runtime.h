@@ -10,7 +10,6 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -20,6 +19,8 @@
 
 #include "core/task.h"
 #include "core/worker.h"
+#include "support/event_count.h"
+#include "support/trace.h"
 
 namespace support {
 class MetricsRegistry;
@@ -96,11 +97,14 @@ class Runtime {
 
   Task* pop_injected();
 
-  // Wake one idle worker; called after any push.
-  void notify_work();
-
-  // Idle workers park here (bounded wait, so missed notifies self-heal).
-  void idle_wait();
+  // Rings the doorbell, where idle computation workers and helping waiters
+  // park (wait_until): after any push, whose plain store the fence orders
+  // (support/event_count.h), and forwarded by the events helpers await.
+  void notify_work() {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    ec_.notify();
+  }
+  support::EventCount& doorbell() { return ec_; }
 
   bool stopping() const { return stopping_.load(std::memory_order_acquire); }
 
@@ -168,14 +172,62 @@ class Runtime {
   // relaxed load, not the mutex (as Place::try_pop).
   std::atomic<std::size_t> injected_size_{0};
 
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
-  std::atomic<int> idle_count_{0};
+  alignas(64) support::EventCount ec_;  // the doorbell
   std::atomic<bool> stopping_{false};
 
   std::mutex producer_mu_;
   int trace_pid_ = 0;
   std::uint64_t prof_sampler_id_ = 0;  // telemetry deque-depth gauge
 };
+
+// The one wait loop (DESIGN.md §5): true once done() holds, false once
+// deadline_ns (now_ns clock; 0 = none) passes. A computation worker of
+// `help` runs tasks meanwhile. With nothing to run a thread polls for
+// support::kSpinWindowNs, then parks until the event rings `ec`; a helper
+// must also hear pushes, so it registers on `ec` but parks on the doorbell,
+// where the event forwards when `ec` had a waiter. Every blocking call of
+// core and hcmpi waits here, so hc-check sees each one on the comm worker.
+template <typename Done>
+bool wait_until(const char* what, Done&& done, support::EventCount& ec,
+                Runtime* help = nullptr, std::uint64_t deadline_ns = 0) {
+  check::on_blocking_call(what);
+  Worker* w = Runtime::current_worker();
+  if (help == nullptr || w == nullptr || !w->is_computation() ||
+      Runtime::current_runtime() != help) {
+    w = nullptr;
+  }
+  support::EventCount& park = w != nullptr ? help->doorbell() : ec;
+  support::SpinWindow window(deadline_ns);
+  for (;;) {
+    if (done()) return true;
+    Task* t = w != nullptr ? w->try_get_task() : nullptr;
+    if (t != nullptr) {
+      w->execute(t);
+      window.reset();
+      continue;
+    }
+    if (!window.idle()) continue;
+    if (deadline_ns != 0 && support::trace::now_ns() >= deadline_ns) {
+      return false;
+    }
+    // Register, look once more, then park: an event after the look rings.
+    const bool forwarded = &park != &ec;
+    if (forwarded) ec.prepare();
+    const support::EventCount::Key key = park.prepare();
+    if (done() || (w != nullptr && (t = w->try_get_task()) != nullptr)) {
+      park.cancel();
+    } else {
+      prof::Probe p(prof::State::kIdle);  // a worker's park is an idle span
+      p.instant(support::trace::Ev::kIdleBegin);
+      park.commit(key, deadline_ns);
+      p.instant(support::trace::Ev::kIdleEnd);
+    }
+    if (forwarded) ec.cancel();
+    if (t != nullptr) {
+      w->execute(t);
+      window.reset();
+    }
+  }
+}
 
 }  // namespace hc

@@ -21,6 +21,7 @@
 #include <functional>
 
 #include "check/check.h"
+#include "support/event_count.h"
 
 namespace hc {
 
@@ -110,19 +111,18 @@ class FinishScope {
     count_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // A governed task finished. Wakes external waiters when the scope drains.
+  // A governed task finished; the last rings the waiter. seq_cst here and
+  // in done() orders that ring against a parking waiter (event_count.h).
   void dec() {
-    if (count_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      count_.notify_all();
-    }
+    if (count_.fetch_sub(1, std::memory_order_seq_cst) == 1) drained();
   }
 
-  bool done() const { return count_.load(std::memory_order_acquire) == 0; }
+  bool done() const { return count_.load(std::memory_order_seq_cst) == 0; }
 
   // Drops the owner token (the +1 the scope is constructed with via begin()),
-  // then waits for the scope to drain. Worker threads help-execute other
-  // tasks while waiting; external threads block on the counter. Rethrows the
-  // first exception captured from any governed task.
+  // then waits for the scope to drain (hc::wait_until): a computation worker
+  // of the scope's runtime runs other tasks meanwhile, any other thread
+  // parks. Rethrows the first exception captured from any governed task.
   void wait_and_rethrow();
 
   // Records the first exception thrown by a governed task.
@@ -138,10 +138,16 @@ class FinishScope {
   Runtime& runtime() const { return rt_; }
 
  private:
+  void drained();  // rings the waiter: a task's last touch of the scope
+
   Runtime& rt_;
   FinishScope* parent_;
   // Starts at 1: the owner token, dropped on entry to wait_and_rethrow().
   std::atomic<std::int64_t> count_{1};
+  support::EventCount ec_;  // rung when count_ reaches 0
+  // Set after that ring, which may still run when the owner sees count_ at
+  // 0: the owner returns, and may destroy the scope, only once it is set.
+  std::atomic<bool> released_{false};
   std::atomic<bool> has_exception_{false};
   std::exception_ptr exception_;
 };

@@ -2,7 +2,6 @@
 
 #include "core/place.h"
 #include "core/runtime.h"
-#include "support/spin.h"
 
 namespace hc {
 
@@ -183,29 +182,14 @@ void Worker::run_task(Task* t) {
 
 void Worker::main_loop(std::stop_token st) {
   bind_worker_thread(&rt_, this);
-  int idle_rounds = 0;
-  while (!st.stop_requested() && !rt_.stopping()) {
-    if (Task* t = try_get_task()) {
-      idle_rounds = 0;
-      execute(t);
-    } else if (idle_rounds < kSpinRounds) {
-      // Capped exponential backoff before parking: each failed round already
-      // swept every victim, so back off 2^n pauses and yield rather than
-      // re-scanning immediately (or paying the 1 ms park when work is about
-      // to appear). The yield matters on the 1-core CI host.
-      prof::Probe p(prof::State::kIdle);
-      for (int i = 0; i < (1 << idle_rounds); ++i) support::cpu_relax();
-      std::this_thread::yield();
-      ++idle_rounds;
-    } else {
-      // Park span: the gap the paper's "computation workers never block in
-      // MPI" claim is about — visible idle time, not hidden in MPI_Wait.
-      prof::Probe p(prof::State::kIdle, &trace_ring_);
-      p.instant(Ev::kIdleBegin, id_);
-      rt_.idle_wait();
-      p.instant(Ev::kIdleEnd, id_);
-    }
-  }
+  // The scheduler loop is the help-first wait for shutdown: it runs tasks,
+  // and parks on the doorbell when none is left anywhere. The park span is
+  // the gap the paper's "computation workers never block in MPI" claim is
+  // about: visible idle time, not hidden in MPI_Wait.
+  wait_until(
+      "worker main loop",
+      [&] { return st.stop_requested() || rt_.stopping(); }, rt_.doorbell(),
+      &rt_);
   prof::unregister_thread();
 }
 

@@ -152,10 +152,6 @@ class Worker {
     c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   }
 
-  // Consecutive failed rounds spent in capped exponential spin (2^n pauses)
-  // before escalating to the 1 ms park in Runtime::idle_wait.
-  static constexpr int kSpinRounds = 10;
-
   Runtime& rt_;
   const int id_;
   const bool has_thread_;

@@ -149,6 +149,7 @@ hc::DdfBase* Space::request(Guid guid) {
     std::lock_guard<support::SpinLock> lk(out_mu_);
     out_.registers[std::size_t(home)].push_back(guid);
     out_dirty_.store(true, std::memory_order_release);
+    ctx_.wake_comm_worker();
   }
   return &e->ddf;
 }
@@ -171,6 +172,7 @@ void Space::put(Guid guid, Bytes data) {
   std::lock_guard<support::SpinLock> lk(out_mu_);
   out_.flushes.push_back(guid);
   out_dirty_.store(true, std::memory_order_release);
+  ctx_.wake_comm_worker();
 }
 
 const Bytes& Space::get(Guid guid) { return ensure(guid)->ddf.get(); }
@@ -234,9 +236,13 @@ void Space::flush_data(smpi::Comm& comm) {
 }
 
 bool Space::drain_outbox(smpi::Comm& comm) {
-  if (!out_dirty_.load(std::memory_order_acquire)) return false;
+  // A push rings a parked communication worker under out_mu_, so its last
+  // look before parking reads the flag under the lock too.
+  const bool parking = ctx_.comm_worker_parking();
+  if (!parking && !out_dirty_.load(std::memory_order_acquire)) return false;
   {
     std::lock_guard<support::SpinLock> lk(out_mu_);
+    if (!out_dirty_.load(std::memory_order_relaxed)) return false;
     std::swap(out_, draining_);
     out_dirty_.store(false, std::memory_order_relaxed);
   }
@@ -333,6 +339,7 @@ void Space::finalize(std::uint64_t timeout_ms) {
     std::lock_guard<support::SpinLock> lk(out_mu_);
     out_.arrive = true;
     out_dirty_.store(true, std::memory_order_release);
+    ctx_.wake_comm_worker();
   }
   hcmpi::RequestHandle req = ctx_.submit_nb_barrier();
   if (timeout_ms == 0) {

@@ -22,7 +22,8 @@
 // and socket mode alike, and all of it runs in that worker's poller, so the
 // home-side tables need no locks. No protocol step is a comm task:
 // registrations and put flushes wait in an outbox that the poller drains on
-// every turn, and the poller sends DATA itself.
+// every turn (each push rings a parked communication worker under the
+// outbox lock), and the poller sends DATA itself.
 //
 // Wire format, on the system communicator: one smpi message per destination
 // per poller step.

@@ -25,6 +25,7 @@
 #include "check/check.h"
 #include "core/ddf.h"
 #include "smpi/comm.h"
+#include "support/event_count.h"
 #include "support/mpsc_queue.h"
 #include "support/ref_ptr.h"
 #include "support/trace.h"
@@ -120,14 +121,14 @@ class RequestImpl : public hc::Ddf<Status> {
 
   // Per-request deadline (hc-fault): the communication worker's ACTIVE scan
   // completes an expired request with Status.error = kTimeout instead of
-  // letting it hang. With `raise` (the default), the timeout is additionally
-  // thrown into the enclosing finish scope as RequestTimeout; pass
-  // raise=false to handle the coded Status yourself.
-  void set_timeout(std::uint64_t timeout_us, bool raise = true) {
-    raise_on_timeout.store(raise, std::memory_order_relaxed);
-    deadline_ns.store(support::trace::now_ns() + timeout_us * 1000,
-                      std::memory_order_release);
-  }
+  // letting it hang, and a parked communication worker is rung so that it
+  // re-reads its deadlines. With `raise` (the default), the timeout is
+  // additionally thrown into the enclosing finish scope as RequestTimeout;
+  // pass raise=false to handle the coded Status yourself.
+  void set_timeout(std::uint64_t timeout_us, bool raise = true);
+
+  // DDF_PUT (hides Ddf::put), ringing the threads blocked on the request.
+  void put(Status st);
 
   std::atomic<std::uint64_t> deadline_ns{0};  // 0 = no deadline
   std::atomic<bool> raise_on_timeout{false};
@@ -149,6 +150,10 @@ class RequestImpl : public hc::Ddf<Status> {
 
   std::atomic<std::uint32_t> refs_{0};
   CommTask* slot_ = nullptr;  // null for a bare request
+  support::EventCount ec_;    // rung by put
+  // Whose computation workers help while they wait on the request, so put
+  // forwards to its doorbell: the issuing Context's runtime for a slot.
+  std::atomic<hc::Runtime*> rt_{nullptr};
 };
 
 // Copyable, nullable, and may outlive the Context that issued it.
@@ -186,6 +191,19 @@ struct CommTask : support::MpscNode {  // the link of the worklist
   int tag = smpi::kAnyTag;
   smpi::Request sreq;
 
+  // Completion plumbing. The status of a p2p, collective or exec task lands
+  // in `request`, which is handed out before submit; command tasks (cancel,
+  // shutdown) never hand it out.
+  RequestImpl request;
+  hc::FinishScope* finish = nullptr;  // inc'd at creation, dec'd on completion
+
+  // Pool plumbing.
+  SlotPool* pool = nullptr;
+  CommTask* next_free = nullptr;  // the pool's free list, under its lock
+
+  // Cold for point-to-point messages: only the communication worker touches
+  // the rest, so the lines both threads share end above.
+
   // Collective: built by the submitter, stepped by the communication worker.
   // Held out of line so the point-to-point tasks stay small.
   std::unique_ptr<smpi::CollScript> script;
@@ -197,15 +215,8 @@ struct CommTask : support::MpscNode {  // the link of the worklist
   // Exec command.
   std::function<void(smpi::Comm&)> exec;
 
-  // Completion plumbing. The status of a p2p, collective or exec task lands
-  // in `request`, which is handed out before submit; command tasks (cancel,
-  // shutdown) never hand it out.
-  RequestImpl request;
-  hc::FinishScope* finish = nullptr;  // inc'd at creation, dec'd on completion
-
-  // Pool plumbing.
-  SlotPool* pool = nullptr;
-  CommTask* next_free = nullptr;  // the pool's free list, under its lock
+  // The issuing communication worker's doorbell (set_timeout rings it).
+  support::EventCount* doorbell = nullptr;
 };
 
 // The single sanctioned way to move a communication task through its

@@ -3,12 +3,13 @@
 // paper's MPI_Test loop), steps the head collective's script, and runs the
 // DDDF poller — all on one thread, so the substrate operates at
 // MPI_THREAD_SINGLE no matter how many computation workers are active. It
-// never blocks: a collective waiting on a slow peer is one non-blocking
-// step per loop turn.
+// never blocks on a request: a collective waiting on a slow peer is one
+// non-blocking step per loop turn. After a spin window with no progress it
+// parks on the rank endpoint's doorbell until an event or a timer is due,
+// so an idle rank costs no CPU.
 #include <algorithm>
 #include <cstdio>
 #include <deque>
-#include <thread>
 #include <vector>
 
 #include "fault/fault.h"
@@ -119,6 +120,24 @@ void Context::comm_worker_main() {
   // this thread (one relaxed load per iteration until then).
   bool prof_bound = false;
 
+  // When a parked worker must wake without a ring: the nearest request
+  // deadline, or the watchdog's next tick while a stall is being timed.
+  auto next_timer = [&] {
+    std::uint64_t at = 0;
+    auto sooner = [&at](std::uint64_t t) {
+      if (t != 0 && (at == 0 || t < at)) at = t;
+    };
+    for (const CommTask* t : active) {
+      sooner(t->request.deadline_ns.load(std::memory_order_acquire));
+    }
+    const std::uint64_t wd = fault::watchdog_ns();
+    if (wd != 0 && stall_since_ns != 0) sooner(stall_since_ns + wd);
+    return at;
+  };
+
+  support::EventCount& doorbell = endpoint_.doorbell();
+  support::SpinWindow window;
+  support::EventCount::Key key = 0;  // while parking_
   for (;;) {
     if (!prof_bound && prof::enabled()) {
       prof::enter_state(prof::State::kCommProgress);
@@ -265,9 +284,30 @@ void Context::comm_worker_main() {
 
     if (shutting_down && active.empty() && coll_queue.empty() &&
         worklist_.empty_approx()) {
+      if (parking_) doorbell.cancel();
       break;
     }
-    if (!progress) std::this_thread::yield();
+    // Idle: poll for one spin window, then park on the rank endpoint's
+    // doorbell. The turn after prepare_wait() is the last look, so an event
+    // it misses rings the park: a delivery or cancel on the endpoint, a
+    // submit (seen here once its head swap is, before pop() can take it),
+    // wake_comm_worker (the DDDF outbox) or set_timeout.
+    if (parking_) {
+      parking_ = false;
+      if (progress || !worklist_.empty_approx()) {
+        doorbell.cancel();
+      } else {
+        doorbell.commit(key, next_timer());
+      }
+      continue;
+    }
+    if (progress) {
+      window.reset();
+      continue;
+    }
+    if (!window.idle()) continue;
+    key = endpoint_.prepare_wait();
+    parking_ = true;
   }
 
   // Teardown: cancel anything still pending so no slot leaks in ACTIVE

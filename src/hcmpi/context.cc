@@ -1,7 +1,6 @@
 #include "hcmpi/context.h"
 
 #include "prof/prof.h"
-#include "support/spin.h"
 
 namespace hcmpi {
 
@@ -17,6 +16,25 @@ void RequestImpl::unref() {
     delete this;
   } else {
     slot_->pool->give_back(slot_);
+  }
+}
+
+void RequestImpl::put(Status st) {
+  hc::Ddf<Status>::put(std::move(st));
+  if (!ec_.notify()) return;  // else a helper may be parked on rt_
+  if (hc::Runtime* rt = rt_.load(std::memory_order_relaxed)) {
+    rt->notify_work();
+  }
+}
+
+void RequestImpl::set_timeout(std::uint64_t timeout_us, bool raise) {
+  raise_on_timeout.store(raise, std::memory_order_relaxed);
+  deadline_ns.store(support::trace::now_ns() + timeout_us * 1000,
+                    std::memory_order_release);
+  // In flight, so the doorbell is alive; a fence orders the plain store.
+  if (slot_ != nullptr && task.load(std::memory_order_acquire) != nullptr) {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    slot_->doorbell->notify();
   }
 }
 
@@ -83,6 +101,7 @@ void SlotPool::drop() {
 Context::Context(smpi::Comm comm, const ContextConfig& cfg)
     : comm_(comm),
       sys_comm_(comm.dup()),
+      endpoint_(comm_.local_endpoint()),
       lifecycle_latency_hist_(support::MetricsRegistry::global().histogram(
           "hcmpi.comm_task_latency_ns")),
       inject_to_wire_hist_(support::MetricsRegistry::global().histogram(
@@ -145,6 +164,9 @@ CommTask* Context::allocate_task() {
   if (recycled) {
     transition(*t, CommTaskState::kAllocated, std::memory_order_relaxed);
     recycled_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    t->doorbell = &endpoint_.doorbell();
+    t->request.rt_.store(runtime_.get(), std::memory_order_relaxed);
   }
   t->request.ref();  // the communication worker's, dropped by release_task
   prof::Probe p;
@@ -189,7 +211,8 @@ void Context::submit(CommTask* t) {
   // hc-check submit edge: the submitter's history travels with the task to
   // the communication worker (and from there into the request's put).
   hc::check::on_comm_submit(t);
-  worklist_.push(t);
+  worklist_.push(t);  // a seq_cst swap of the worklist head: no fence needed
+  endpoint_.doorbell().notify();
 }
 
 RequestHandle Context::post_exec_async(std::function<void(smpi::Comm&)> fn) {
@@ -251,42 +274,24 @@ void Context::complete_task(CommTask* t, const Status& st) {
 }
 
 void Context::block_until(const RequestHandle& r) {
-  support::Backoff backoff;
-  while (!r->satisfied()) backoff.pause();
+  hc::wait_until("wait on a request", [&] { return r->satisfied(); }, r->ec_);
 }
 
 bool Context::block_until_deadline(const RequestHandle& r,
                                    std::uint64_t timeout_ms) {
-  std::uint64_t deadline =
-      support::trace::now_ns() + timeout_ms * 1000000ull;
-  support::Backoff backoff;
-  while (!r->satisfied()) {
-    if (support::trace::now_ns() >= deadline) return false;
-    backoff.pause();
-  }
-  return true;
+  return hc::wait_until(
+      "wait on a request", [&] { return r->satisfied(); }, r->ec_, nullptr,
+      support::trace::now_ns() + timeout_ms * 1000000ull);
 }
 
-void Context::help_wait_satisfied(const hc::DdfBase& ddf) {
-  // The communication worker must never block on a request: it is the only
-  // thread that can complete one, so this is a guaranteed deadlock at scale.
-  hc::check::on_blocking_call("wait on a request");
-  hc::Worker* w = hc::Runtime::current_worker();
-  if (w != nullptr && w->is_computation() &&
-      hc::Runtime::current_runtime() == runtime_.get()) {
-    support::Backoff backoff;
-    while (!ddf.satisfied()) {
-      if (hc::Task* t = w->try_get_task()) {
-        w->execute(t);
-        backoff.reset();
-      } else {
-        backoff.pause();
-      }
-    }
-  } else {
-    support::Backoff backoff;
-    while (!ddf.satisfied()) backoff.pause();
+hc::Runtime* Context::helper_for(RequestImpl& r) {
+  hc::Runtime* bound = r.rt_.load(std::memory_order_relaxed);
+  if (bound == nullptr &&
+      r.rt_.compare_exchange_strong(bound, runtime_.get(),
+                                    std::memory_order_relaxed)) {
+    bound = runtime_.get();
   }
+  return bound == runtime_.get() ? bound : nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -361,35 +366,36 @@ int Context::testany(const std::vector<RequestHandle>& rs, Status* st) {
 void Context::wait(const RequestHandle& r, Status* st) {
   // Paper §III: HCMPI_Wait is `finish { async await(req) {} }` — i.e. the
   // computation worker stays productive while the communication completes.
-  help_wait_satisfied(*r);
+  hc::wait_until("wait on a request", [&] { return r->satisfied(); }, r->ec_,
+                 helper_for(*r));
   if (st != nullptr) *st = r->get();
 }
 
 void Context::waitall(const std::vector<RequestHandle>& rs) {
   // An AND await list (paper §III).
   for (const auto& r : rs) {
-    if (r) help_wait_satisfied(*r);
+    if (r) wait(r);
   }
 }
 
 int Context::waitany(const std::vector<RequestHandle>& rs, Status* st) {
-  // An OR await list (paper §III, Fig. 12).
-  hc::check::on_blocking_call("waitany");
-  if (rs.empty()) return -1;
-  hc::Worker* w = hc::Runtime::current_worker();
-  support::Backoff backoff;
-  for (;;) {
-    int i = testany(rs, st);
-    if (i >= 0) return i;
-    if (w != nullptr && w->is_computation()) {
-      if (hc::Task* t = w->try_get_task()) {
-        w->execute(t);
-        backoff.reset();
-        continue;
-      }
-    }
-    backoff.pause();
+  // An OR await list (paper §III, Fig. 12), parked on the doorbell: each
+  // request's put forwards there, as it has a registered waiter.
+  std::vector<RequestImpl*> live;
+  for (const auto& r : rs) {
+    if (r) live.push_back(r.get());
   }
+  if (live.empty()) return -1;  // MPI_UNDEFINED: no active request
+  int i = testany(rs, st);
+  if (i >= 0) return i;
+  for (RequestImpl* r : live) {
+    helper_for(*r);
+    r->ec_.prepare();
+  }
+  hc::wait_until("waitany", [&] { return (i = testany(rs, st)) >= 0; },
+                 runtime_->doorbell(), runtime_.get());
+  for (RequestImpl* r : live) r->ec_.cancel();
+  return i;
 }
 
 bool Context::cancel(const RequestHandle& r) {
@@ -404,7 +410,7 @@ bool Context::cancel(const RequestHandle& r) {
   submit(t);
   // Cancellation is itself asynchronous; the caller observes the outcome on
   // the request (status.cancelled). Wait for a verdict either way.
-  help_wait_satisfied(*r);
+  wait(r);
   return r->get().cancelled;
 }
 

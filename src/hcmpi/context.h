@@ -109,6 +109,8 @@ class Context {
   int testany(const std::vector<RequestHandle>& rs, Status* st = nullptr);
   void wait(const RequestHandle& r, Status* st = nullptr);
   void waitall(const std::vector<RequestHandle>& rs);
+  // -1 (MPI_UNDEFINED) when no handle is non-null. Every request must be
+  // this Context's, or a bare one no other Context waits on.
   int waitany(const std::vector<RequestHandle>& rs, Status* st = nullptr);
   bool cancel(const RequestHandle& r);
 
@@ -116,8 +118,12 @@ class Context {
 
   // HCMPI_REQUEST_CREATE: a bare request handle; since a request *is* a DDF,
   // user code can DDF_PUT it to splice arbitrary events into await lists.
+  // Waiting computation workers help in the creating task's runtime, else
+  // in the first Context that waits on it.
   static RequestHandle request_create() {
-    return RequestHandle(new RequestImpl);
+    auto* r = new RequestImpl;
+    r->rt_.store(hc::Runtime::current_runtime(), std::memory_order_relaxed);
+    return RequestHandle(r);
   }
 
   // --- collectives (blocking; HCMPI_Barrier / ...) ---
@@ -151,6 +157,12 @@ class Context {
   // this returns, no poller call is in flight and none will start, so the
   // owner (the DDDF space) can safely destroy the state it polls into.
   void clear_poller();
+  // Rings a parked communication worker, for poller work that comes neither
+  // as a message nor as a submit (the DDDF outbox). Call it under the lock
+  // guarding that work, and have the poller take that lock while
+  // comm_worker_parking(): the worker's last look before it parks.
+  void wake_comm_worker() { endpoint_.doorbell().notify(); }
+  bool comm_worker_parking() const { return parking_; }
   // Enqueues a non-blocking barrier/allreduce on the system communicator;
   // the returned request is put when it completes. It joins no finish
   // scope: wait with block_until, or cancel it.
@@ -158,8 +170,8 @@ class Context {
   RequestHandle submit_nb_allreduce(const void* in, void* out,
                                     std::size_t count, Datatype t, Op op);
 
-  // Blocks (yield-spin, no helping) until the request completes. Safe from
-  // phaser boundaries where help-execution could self-deadlock.
+  // Blocks without helping until the request completes (hc::wait_until):
+  // safe at phaser boundaries, where help-execution could self-deadlock.
   static void block_until(const RequestHandle& r);
   // Same, but gives up after timeout_ms; false on timeout (the request is
   // still in flight — cancel it before dropping the handle).
@@ -196,7 +208,8 @@ class Context {
   friend class CommWorker;
 
   void comm_worker_main();
-  void help_wait_satisfied(const hc::DdfBase& ddf);
+  // Our runtime if r is (or can be bound to) it, else null: no helping.
+  hc::Runtime* helper_for(RequestImpl& r);
   RequestHandle make_p2p(CommKind kind, const void* sbuf, void* rbuf,
                          std::size_t bytes, int peer, int tag);
   // Queues a collective script as a communication task.
@@ -208,6 +221,7 @@ class Context {
 
   smpi::Comm comm_;       // user traffic
   smpi::Comm sys_comm_;   // internal traffic (phaser bridge, DDDF)
+  smpi::Endpoint& endpoint_;  // the comm worker parks on its doorbell
   std::unique_ptr<hc::Runtime> runtime_;
 
   support::MpscQueue<CommTask> worklist_;
@@ -220,6 +234,7 @@ class Context {
 
   std::function<bool(smpi::Comm&)> poller_;
   std::atomic<bool> poller_set_{false};
+  bool parking_ = false;  // communication worker only
 
   CommCounters comm_counters_;
   // Telemetry: PRESCRIBED -> COMPLETED, split at the ACTIVE edge (registry

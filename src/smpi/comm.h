@@ -103,6 +103,8 @@ class Comm {
   int local_size() const;
   World& world() const { return *world_; }
   std::uint32_t context() const { return context_; }
+  // This rank's endpoint: its doorbell rings on every delivery here.
+  Endpoint& local_endpoint() const { return endpoint(rank_); }
 
   // Duplicates the communicator into a fresh context: messages on the dup
   // can never match messages on the parent. Collective: all ranks must call
@@ -136,6 +138,8 @@ class Comm {
   int testany(const std::vector<Request>& reqs, Status* st = nullptr);
   void wait(const Request& req, Status* st = nullptr);
   void waitall(const std::vector<Request>& reqs);
+  // Index of a completed request; -1 (MPI_UNDEFINED) when no entry is
+  // active, i.e. the list is empty or all null.
   int waitany(const std::vector<Request>& reqs, Status* st = nullptr);
   // Cancels a pending receive; sends complete eagerly and cannot be
   // cancelled. Returns true if the request was cancelled.

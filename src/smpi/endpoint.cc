@@ -82,28 +82,24 @@ void Endpoint::recycle(RequestState* r) {
   free_ = r;
 }
 
-void Endpoint::wake_waiters() {
-  // A parked caller registered in waiters_ before its last check under the
-  // lock, and that lock hand-off orders the registration before this load.
-  if (waiters_.load(std::memory_order_relaxed) == 0) return;
-  epoch_.fetch_add(1, std::memory_order_release);
-  epoch_.notify_all();
+support::EventCount::Key Endpoint::prepare_wait() {
+  const support::EventCount::Key key = doorbell_.prepare();
+  std::lock_guard<support::SpinLock> lk(mu_);
+  return key;
 }
 
 template <typename Ready>
-void Endpoint::block_until(Ready ready) {
-  waiters_.fetch_add(1, std::memory_order_relaxed);
-  for (;;) {
-    // Read the epoch before checking: a completion after the check bumps it,
-    // so the wait below returns at once instead of missing the wake-up.
-    const std::uint32_t seen = epoch_.load(std::memory_order_acquire);
-    {
-      std::lock_guard<support::SpinLock> lk(mu_);
-      if (ready()) break;
+void Endpoint::wait_until(Ready ready) {
+  support::SpinWindow window;
+  while (!ready()) {
+    if (!window.idle()) continue;
+    const support::EventCount::Key key = prepare_wait();
+    if (ready()) {
+      doorbell_.cancel();
+      return;
     }
-    epoch_.wait(seen, std::memory_order_acquire);
+    doorbell_.commit(key);
   }
-  waiters_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void Endpoint::complete_recv_locked(RequestState& r, const Envelope& env) {
@@ -136,7 +132,7 @@ void Endpoint::deliver(Envelope&& env) {
           std::max(unexpected_hw_, std::uint64_t(unexpected_.size()));
     }
   }
-  wake_waiters();  // a completed wait, or an arrival for a blocking probe
+  doorbell_.notify();  // a completed wait, or an arrival for a blocking probe
   // Telemetry counts every delivery; an injection stamp (0 when the sender
   // had telemetry off, or sits in another process) adds its latencies, both
   // ending at one clock reading.
@@ -216,7 +212,7 @@ bool Endpoint::cancel_recv(const Request& req) {
     req->status.error = ErrorCode::kCancelled;
     req->state.store(ReqState::kCancelled, std::memory_order_release);
   }
-  wake_waiters();
+  doorbell_.notify();
   return true;
 }
 
@@ -246,24 +242,26 @@ bool Endpoint::iprobe(int source, int tag, std::uint32_t context, Status* st) {
 }
 
 void Endpoint::probe(int source, int tag, std::uint32_t context, Status* st) {
-  block_until([&] { return probe_locked(source, tag, context, st); });
+  wait_until([&] { return iprobe(source, tag, context, st); });
 }
 
 void Endpoint::wait_request(const Request& req) {
-  if (req->done()) return;
-  block_until([&] { return req->done(); });
+  wait_until([&] { return req->done(); });
 }
 
-std::size_t Endpoint::wait_any(const std::vector<Request>& reqs) {
-  std::size_t found = 0;
-  block_until([&] {
+int Endpoint::wait_any(const std::vector<Request>& reqs) {
+  int found = -1;
+  wait_until([&] {
+    bool active = false;
     for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (reqs[i] && reqs[i]->done()) {
-        found = i;
+      if (!reqs[i]) continue;
+      active = true;
+      if (reqs[i]->done()) {
+        found = int(i);
         return true;
       }
     }
-    return false;
+    return !active;  // MPI_Waitany on no active request: MPI_UNDEFINED
   });
   return found;
 }

@@ -7,9 +7,9 @@
 // Both queues and the request pool sit under one spin lock, held only to
 // match, copy at most a posted receive's bytes and link or unlink an entry:
 // nothing is allocated or freed under it once the queues have reached their
-// high-water capacity. Blocking calls count themselves in `waiters_` and
-// park on the atomic word `epoch_`, which a completion bumps and notifies
-// only when some thread is parked, so a delivery makes no syscall otherwise.
+// high-water capacity. Every delivery and cancel rings the doorbell (a
+// support::EventCount) after the lock; blocking calls and the rank's hcmpi
+// communication worker park on it.
 #pragma once
 
 #include <atomic>
@@ -21,6 +21,7 @@
 
 #include "smpi/request.h"
 #include "smpi/types.h"
+#include "support/event_count.h"
 #include "support/spin.h"
 
 namespace smpi {
@@ -137,8 +138,14 @@ class Endpoint {
   // Blocks until req->done().
   void wait_request(const Request& req);
 
-  // Blocks until any request in the span completes; returns its index.
-  std::size_t wait_any(const std::vector<Request>& reqs);
+  // Blocks until any request in the span completes; returns its index, or
+  // -1 when every entry is null.
+  int wait_any(const std::vector<Request>& reqs);
+
+  // Park with prepare_wait(): it registers, then takes the lock once, which
+  // orders the caller's next look after any delivery its ring missed.
+  support::EventCount& doorbell() { return doorbell_; }
+  support::EventCount::Key prepare_wait();
 
   // Counters for tests.
   std::uint64_t unexpected_high_water() const { return unexpected_hw_; }
@@ -158,11 +165,9 @@ class Endpoint {
   void recycle(RequestState* r);
   void complete_recv_locked(RequestState& r, const Envelope& env);
   bool probe_locked(int source, int tag, std::uint32_t context, Status* st);
-  // Parks the caller until ready() — evaluated under the lock — holds.
+  // Polls ready() for the spin window, then parks until it holds.
   template <typename Ready>
-  void block_until(Ready ready);
-  // After a completion or an arrival: wakes parked callers, if any.
-  void wake_waiters();
+  void wait_until(Ready ready);
 
   const int rank_;
   support::SpinLock mu_;
@@ -171,8 +176,7 @@ class Endpoint {
   RequestState* free_ = nullptr;  // pooled request states
   std::uint64_t unexpected_hw_ = 0;
 
-  alignas(64) std::atomic<std::uint32_t> waiters_{0};
-  std::atomic<std::uint32_t> epoch_{0};
+  alignas(64) support::EventCount doorbell_;
 };
 
 }  // namespace smpi

@@ -99,11 +99,11 @@ void Comm::waitall(const std::vector<Request>& reqs) {
 }
 
 int Comm::waitany(const std::vector<Request>& reqs, Status* st) {
-  if (reqs.empty()) return -1;
-  // All pending requests are receives posted on this rank's endpoint.
-  std::size_t i = endpoint(rank_).wait_any(reqs);
-  if (st != nullptr) *st = reqs[i]->status;
-  return int(i);
+  // All pending requests are receives posted on this rank's endpoint. With
+  // no active (non-null) request the answer is -1, MPI_UNDEFINED.
+  const int i = endpoint(rank_).wait_any(reqs);
+  if (i >= 0 && st != nullptr) *st = reqs[std::size_t(i)]->status;
+  return i;
 }
 
 bool Comm::cancel(const Request& req) {

@@ -57,16 +57,18 @@ class MpscQueue {
     return static_cast<T*>(tail);
   }
 
-  // Consumer only; approximate (a concurrent push may be mid-flight).
+  // Consumer only. False from a push's head swap on, even while pop() cannot
+  // return its node yet; the swap and this load are seq_cst, so a consumer
+  // that registers on an EventCount and then finds the queue empty has
+  // seen every push whose ring missed it (support/event_count.h).
   bool empty_approx() const {
-    return tail_ == &stub_ &&
-           stub_.mpsc_next.load(std::memory_order_acquire) == nullptr;
+    return tail_ == &stub_ && head_.load(std::memory_order_seq_cst) == &stub_;
   }
 
  private:
   void push_node(MpscNode* n) {
     n->mpsc_next.store(nullptr, std::memory_order_relaxed);
-    MpscNode* prev = head_.exchange(n, std::memory_order_acq_rel);
+    MpscNode* prev = head_.exchange(n, std::memory_order_seq_cst);
     prev->mpsc_next.store(n, std::memory_order_release);
   }
 

@@ -1,5 +1,7 @@
-// Tiny spin primitives: an exponential-backoff helper and a TTAS spinlock.
-// Used only on short critical sections (smpi matching engine, phaser root).
+// Tiny spin primitives: a pause instruction and a TTAS spinlock for short
+// critical sections (the smpi matching engine, the request and comm-task
+// slot pools, the DDDF outbox). Waiting for an event is
+// support/event_count.h's job.
 #pragma once
 
 #include <atomic>
@@ -19,32 +21,22 @@ inline void cpu_relax() {
 #endif
 }
 
-// Exponential backoff: spins briefly, then yields to the OS. On the 1-core
-// CI host yielding early is essential or spinners starve the thread that
-// would make progress.
-class Backoff {
- public:
-  void pause() {
-    if (count_ < kSpinLimit) {
-      for (int i = 0; i < (1 << count_); ++i) cpu_relax();
-      ++count_;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  void reset() { count_ = 0; }
-
- private:
-  static constexpr int kSpinLimit = 4;
-  int count_ = 0;
-};
-
 class SpinLock {
  public:
+  // A waiter pauses 1, 2, 4 and 8 times, then yields, so a holder preempted
+  // inside its critical section gets the CPU back on a host with more
+  // runnable threads than cores.
   void lock() {
-    Backoff b;
+    int round = 0;
     while (flag_.exchange(true, std::memory_order_acquire)) {
-      while (flag_.load(std::memory_order_relaxed)) b.pause();
+      while (flag_.load(std::memory_order_relaxed)) {
+        if (round == 4) {
+          std::this_thread::yield();
+          continue;
+        }
+        for (int i = 0; i < (1 << round); ++i) cpu_relax();
+        ++round;
+      }
     }
   }
   bool try_lock() { return !flag_.exchange(true, std::memory_order_acquire); }

@@ -344,6 +344,25 @@ TEST_F(Check, BlockingCallOnCommWorkerIsRejected) {
   });
 }
 
+TEST_F(Check, BlockUntilOnCommWorkerIsRejected) {
+  // A comm-task closure that blocks on a request waits for the only thread
+  // that can complete it: every wait goes through hc::wait_until, whose
+  // check rejects it at once.
+  run_hcmpi(1, 1, [](hcmpi::Context& ctx) {
+    std::atomic<bool> flagged{false};
+    hc::finish([&] {
+      ctx.post_exec_async([&](smpi::Comm&) {
+        try {
+          hcmpi::Context::block_until(ctx.submit_nb_barrier());
+        } catch (const hc::check::CommWorkerBlockingCall&) {
+          flagged.store(true);
+        }
+      });
+    });
+    EXPECT_TRUE(flagged.load());
+  });
+}
+
 TEST_F(Check, CommRequestEdgeOrdersRecvAndConsumer) {
   // submit -> comm-worker -> completion-put -> waiter: the whole chain is
   // one happens-before path, so reading the recv buffer after wait() is

@@ -291,6 +291,23 @@ TEST(TimeoutFault, ExpiredRequestCompletesWithTimeoutStatus) {
   EXPECT_EQ(counter("request.timeout.count"), timeouts0 + 1);
 }
 
+TEST(TimeoutFault, TimeoutSetAfterTheCommWorkerParksStillFires) {
+  // The communication worker parks with no timer while the irecv has no
+  // deadline; set_timeout must ring it so that it re-reads deadlines.
+  smpi::World::run(1, [&](smpi::Comm& comm) {
+    hcmpi::Context ctx(comm, {.num_workers = 1});
+    ctx.run([&] {
+      int buf = 0;
+      hcmpi::RequestHandle r = ctx.irecv(&buf, sizeof buf, 0, 781);
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      r->set_timeout(20000, /*raise=*/false);  // 20 ms; nobody ever sends
+      ASSERT_TRUE(hcmpi::Context::block_until_deadline(r, 1000))
+          << "no timeout within 1 s of set_timeout";
+      EXPECT_EQ(r->get().error, smpi::ErrorCode::kTimeout);
+    });
+  });
+}
+
 TEST(TimeoutFault, RaisePolicyThrowsThroughFinish) {
   smpi::World::run(1, [&](smpi::Comm& comm) {
     hcmpi::Context ctx(comm, {.num_workers = 2});

@@ -1,6 +1,9 @@
+#include <time.h>
+
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -130,6 +133,21 @@ TEST(Hcmpi, WaitanyPicksTheArrivedOne) {
   });
 }
 
+TEST(Hcmpi, WaitanyOnNullHandlesReturnsMinusOne) {
+  // MPI_Waitany on a list with no active request returns MPI_UNDEFINED; a
+  // wait on it would never end. A regression fails here instead of hanging:
+  // the call runs on its own thread, abandoned after 5 s.
+  run_hcmpi(1, 1, [](hcmpi::Context& ctx) {
+    const std::vector<hcmpi::RequestHandle> none(3);
+    auto* f = new std::future<int>(
+        std::async(std::launch::async, [&] { return ctx.waitany(none); }));
+    ASSERT_EQ(f->wait_for(std::chrono::seconds(5)), std::future_status::ready)
+        << "waitany on null handles is still blocked after 5 s";
+    EXPECT_EQ(f->get(), -1);
+    delete f;
+  });
+}
+
 TEST(Hcmpi, CancelNeverMatchedRecv) {
   run_hcmpi(2, 2, [](hcmpi::Context& ctx) {
     if (ctx.rank() == 1) {
@@ -140,6 +158,41 @@ TEST(Hcmpi, CancelNeverMatchedRecv) {
       EXPECT_TRUE(ctx.test(r, &st));
       EXPECT_TRUE(st.cancelled);
     }
+  });
+}
+
+double thread_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
+}
+
+TEST(Hcmpi, IdleRankUsesNoCpu) {
+  // Two ranks with one computation worker each sit idle for 0.5 s after a
+  // barrier. Each thread's CPU time is read on that thread, inside a task
+  // and inside a communication-worker closure, at both ends of the window.
+  smpi::World::run(2, [](smpi::Comm& comm) {
+    hcmpi::Context ctx(comm, {.num_workers = 1});
+    ctx.run([&] { ctx.barrier(); });
+    double worker_s = 0, comm_s = 0;
+    auto sample = [&] {
+      ctx.run([&] {
+        worker_s = thread_cpu_s();
+        hcmpi::Context::block_until(ctx.post_exec_async(
+            [&](smpi::Comm&) { comm_s = thread_cpu_s(); }));
+      });
+    };
+    sample();
+    const double worker0 = worker_s, comm0 = comm_s;
+    const auto t0 = std::chrono::steady_clock::now();
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    const auto t1 = std::chrono::steady_clock::now();
+    sample();
+    const double wall = std::chrono::duration<double>(t1 - t0).count();
+    EXPECT_LE((worker_s - worker0) / wall, 0.05)
+        << "computation worker CPU s/s on rank " << comm.rank();
+    EXPECT_LE((comm_s - comm0) / wall, 0.05)
+        << "communication worker CPU s/s on rank " << comm.rank();
   });
 }
 

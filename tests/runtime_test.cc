@@ -1,4 +1,7 @@
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <cstdio>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -8,6 +11,8 @@
 #include "core/api.h"
 #include "core/place.h"
 #include "core/runtime.h"
+#include "support/rng.h"
+#include "support/trace.h"
 
 namespace {
 
@@ -174,6 +179,37 @@ TEST(Runtime, SequentialLaunchesReuseWorkers) {
 }
 
 // --- places / HPT -------------------------------------------------------------
+
+TEST(Runtime, ParkedWorkerNeverMissesAWakeup) {
+  // An external thread injects tasks one at a time into a 1-worker runtime,
+  // after seeded pauses of 0-400 us: around the spin window, so injections
+  // land on a polling worker, on a parked one and on one just parking. Idle
+  // parks have no timeout, so one lost wake-up hangs this test until
+  // ctest's timeout fails it. Prints the inject-to-start latencies.
+  constexpr int kInjections = 4000;
+  hc::Runtime rt({.num_workers = 1});
+  support::XorShift64 rng(0x5EEDu);
+  std::vector<std::uint64_t> wake_ns;
+  wake_ns.reserve(kInjections);
+  for (int i = 0; i < kInjections; ++i) {
+    const std::uint64_t until =
+        support::trace::now_ns() + 1000u * rng.next_below(401);
+    while (support::trace::now_ns() < until) {
+    }
+    std::uint64_t started = 0;
+    const std::uint64_t t0 = support::trace::now_ns();
+    rt.launch([&] { started = support::trace::now_ns(); });
+    ASSERT_GE(started, t0);
+    wake_ns.push_back(started - t0);
+  }
+  std::sort(wake_ns.begin(), wake_ns.end());
+  auto at = [&](double q) {
+    return double(wake_ns[std::size_t(q * double(wake_ns.size() - 1))]) / 1e3;
+  };
+  std::printf("inject-to-start over %d injections: p50 %.1f us, p99.9 %.1f us, "
+              "max %.1f us\n",
+              kInjections, at(0.5), at(0.999), at(1.0));
+}
 
 TEST(Places, SingleLevelDefault) {
   hc::PlaceTree tree(0, 2);

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -133,6 +134,21 @@ TEST(SmpiP2p, WaitanyReturnsACompletedIndex) {
       EXPECT_EQ(b, 9);
       EXPECT_TRUE(comm.cancel(rs[0]));  // clean up the never-matched recv
     }
+  });
+}
+
+TEST(SmpiP2p, WaitanyOnNullRequestsReturnsUndefined) {
+  // MPI_Waitany on a list with no active request returns MPI_UNDEFINED (-1
+  // here); a wait on it would never end. A regression fails here instead of
+  // hanging: the call runs on its own thread, abandoned after 5 s.
+  smpi::World::run(1, [](smpi::Comm& comm) {
+    const std::vector<smpi::Request> none(3);
+    auto* f = new std::future<int>(
+        std::async(std::launch::async, [&] { return comm.waitany(none); }));
+    ASSERT_EQ(f->wait_for(std::chrono::seconds(5)), std::future_status::ready)
+        << "waitany on null requests is still blocked after 5 s";
+    EXPECT_EQ(f->get(), -1);
+    delete f;
   });
 }
 
