@@ -7,8 +7,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "core/runtime.h"
 #include "core/task.h"
+#include "prof/prof.h"
 #include "support/metrics.h"
 #include "support/trace.h"
 
@@ -132,12 +132,8 @@ void report_race(Checker& c, std::uintptr_t addr, std::size_t size,
                  bool cur_write) {
   ++c.races;
   support::MetricsRegistry::global().counter("check.races_flagged").add(1);
-  if (support::trace::enabled()) {
-    if (hc::Worker* w = hc::Runtime::current_worker()) {
-      w->trace_ring().record(support::trace::Ev::kCheckRace, prior.strand,
-                             std::uint64_t(addr));
-    }
-  }
+  prof::Probe().instant(support::trace::Ev::kCheckRace, prior.strand,
+                        std::uint64_t(addr));
   RaceWitness w;
   w.addr = addr;
   w.size = size;

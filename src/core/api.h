@@ -57,7 +57,7 @@ void async_at(Place* place, F&& fn) {
   Runtime& rt = detail::require_runtime();
   FinishScope* fs = detail::require_finish();
   fs->inc();
-  Task* t = rt.create_task(std::forward<F>(fn), fs, place);
+  Task* t = rt.create_task(std::forward<F>(fn), fs);
   t->check_strand = check::on_spawn();
   place->push(t);
   rt.notify_work();

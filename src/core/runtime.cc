@@ -68,8 +68,9 @@ Runtime::~Runtime() {
   export_metrics(support::MetricsRegistry::global());
   // Drain anything never executed (only possible after an exceptional exit).
   // destroy_task: pooled tasks recycle into their (still-live) worker pools.
-  Task* t = nullptr;
-  while ((t = pop_injected()) != nullptr) destroy_task(t);
+  for (int i = 0; i < places_->size(); ++i) {
+    while (Task* t = places_->node(i)->try_pop()) destroy_task(t);
+  }
 }
 
 void Runtime::launch(std::function<void()> root) {
@@ -99,15 +100,14 @@ Worker* Runtime::register_producer() {
   return w;
 }
 
-Task* Runtime::create_task(std::function<void()> fn, FinishScope* fs,
-                           Place* place) {
+Task* Runtime::create_task(std::function<void()> fn, FinishScope* fs) {
   Worker* w = tl_worker;
   if (w != nullptr && tl_runtime == this) {
     // Spawning thread owns a worker slot here: slab-pool allocation, no
     // malloc on the spawn path.
-    return w->task_pool().acquire(std::move(fn), fs, place);
+    return w->task_pool().acquire(std::move(fn), fs);
   }
-  return new Task(std::move(fn), fs, place);
+  return new Task(std::move(fn), fs);
 }
 
 void Runtime::schedule(Task* t) {
@@ -123,23 +123,8 @@ void Runtime::schedule(Task* t) {
 }
 
 void Runtime::inject(Task* t) {
-  {
-    std::lock_guard<std::mutex> lk(inject_mu_);
-    injected_.push_back(t);
-    injected_size_.store(injected_.size(), std::memory_order_relaxed);
-  }
+  places_->root()->push(t);
   notify_work();
-}
-
-Task* Runtime::pop_injected() {
-  // A stale zero only delays pickup to the worker's next scan.
-  if (injected_size_.load(std::memory_order_relaxed) == 0) return nullptr;
-  std::lock_guard<std::mutex> lk(inject_mu_);
-  if (injected_.empty()) return nullptr;
-  Task* t = injected_.front();
-  injected_.pop_front();
-  injected_size_.store(injected_.size(), std::memory_order_relaxed);
-  return t;
 }
 
 std::uint64_t Runtime::total_tasks_executed() const {

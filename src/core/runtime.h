@@ -11,7 +11,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -29,7 +28,6 @@ class MetricsRegistry;
 namespace hc {
 
 class PlaceTree;
-class Place;
 
 struct RuntimeConfig {
   int num_workers = 2;
@@ -85,17 +83,15 @@ class Runtime {
   // bound to this runtime (the normal spawn path — no malloc), falling back
   // to the heap for external threads. Retirement goes through destroy_task()
   // either way.
-  Task* create_task(std::function<void()> fn, FinishScope* fs,
-                    Place* place = nullptr);
+  Task* create_task(std::function<void()> fn, FinishScope* fs);
 
   // Push from the current thread: to its own worker slot when it has one,
-  // otherwise to the injection queue.
+  // otherwise to the root place's queue.
   void schedule(Task* t);
 
-  // Push bypassing thread identity (external threads, tests).
+  // Push bypassing thread identity (external threads, tests): onto the root
+  // place's queue, which every worker's leaf-to-root scan reaches.
   void inject(Task* t);
-
-  Task* pop_injected();
 
   // Rings the doorbell, where idle computation workers and helping waiters
   // park (wait_until): after any push, whose plain store the fence orders
@@ -165,12 +161,6 @@ class Runtime {
   std::atomic<int> producer_count_{0};
   std::vector<std::unique_ptr<Worker>> producer_storage_;
   std::unique_ptr<PlaceTree> places_;
-
-  std::mutex inject_mu_;
-  std::deque<Task*> injected_;
-  // Mirrors injected_.size() so an empty queue costs pop_injected one
-  // relaxed load, not the mutex (as Place::try_pop).
-  std::atomic<std::size_t> injected_size_{0};
 
   alignas(64) support::EventCount ec_;  // the doorbell
   std::atomic<bool> stopping_{false};

@@ -1,12 +1,12 @@
 // Task and FinishScope: the two primitive objects of the Habanero-C style
 // async/finish model (paper §II-A).
 //
-// A Task is a closure plus the finish scope it reports to and an optional
-// place affinity. Tasks spawned on a worker thread live in that worker's
-// slab pool (task_pool.h); only tasks created off the spawn path (external
-// threads, launch roots) are heap-allocated. A data-driven task (DDT,
-// hc::async_await) keeps its AND await frame in the task itself, so gating
-// a task on up to AndFrame::kInline inputs allocates nothing.
+// A Task is a closure plus the finish scope it reports to. Tasks spawned on
+// a worker thread live in that worker's slab pool (task_pool.h); only tasks
+// created off the spawn path (external threads, launch roots) are
+// heap-allocated. A data-driven task (DDT, hc::async_await) keeps its AND
+// await frame in the task itself, so gating a task on up to
+// AndFrame::kInline inputs allocates nothing.
 //
 // A FinishScope counts outstanding descendants;
 // `finish { ... }` waits for its scope to drain. The waiting worker *helps*
@@ -26,7 +26,6 @@
 namespace hc {
 
 class Runtime;
-class Place;
 class FinishScope;
 class TaskPool;
 class DdfBase;
@@ -79,7 +78,6 @@ struct AndFrame {
 struct Task {
   std::function<void()> fn;
   FinishScope* finish = nullptr;
-  Place* place = nullptr;
   // Owning slab pool when pool-allocated (the normal spawn path); nullptr
   // for heap-allocated tasks (external threads, launch roots). Retirement
   // must go through destroy_task() (task_pool.h), never plain delete.
@@ -90,8 +88,8 @@ struct Task {
   AndFrame await;
 
   Task() = default;
-  Task(std::function<void()> f, FinishScope* fs, Place* p = nullptr)
-      : fn(std::move(f)), finish(fs), place(p) {}
+  Task(std::function<void()> f, FinishScope* fs)
+      : fn(std::move(f)), finish(fs) {}
 };
 
 class FinishScope {

@@ -105,17 +105,15 @@ Task* Worker::try_get_task() {
   }
 
   // 2. Place queues along this worker's leaf-to-root path (HPT heuristics;
-  //    a depth-0 tree makes this a single root-queue check).
+  //    a depth-0 tree makes this a single root-queue check). The root's
+  //    queue also holds what external threads inject.
   if (Place* leaf = rt_.places()->leaf_for_worker(id_)) {
     for (Place* p = leaf; p != nullptr; p = p->parent()) {
       if (Task* t = p->try_pop()) return t;
     }
   }
 
-  // 3. Injection queue (external submissions).
-  if (Task* t = rt_.pop_injected()) return t;
-
-  // 4. Steal from a random victim; one full scan per call, batch size set by
+  // 3. Steal from a random victim; one full scan per call, batch size set by
   //    the policy (one / half).
   int slots = rt_.total_slots();
   if (slots > 1) {

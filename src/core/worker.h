@@ -73,8 +73,8 @@ class Worker {
     return deque_.steal_some(out, max_n);
   }
 
-  // Pop + place-queue + injection + steal scan. Returns nullptr when no work
-  // was found anywhere.
+  // Pop + place-queue + steal scan. Returns nullptr when no work was found
+  // anywhere.
   Task* try_get_task();
 
   // Executes a task with the thread-local finish scope set, routing

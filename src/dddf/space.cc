@@ -4,9 +4,9 @@
 #include <string>
 
 #include "check/check.h"
-#include "core/runtime.h"
 #include "fault/fault.h"
 #include "hcmpi/context.h"
+#include "prof/prof.h"
 #include "support/metrics.h"
 #include "support/trace.h"
 
@@ -23,17 +23,6 @@ constexpr int kTagData = 1001;
 constexpr int kTagArrive = 1002;
 
 constexpr std::size_t kGuidsPerMessage = Space::kBatchCap / sizeof(Guid);
-
-// DDDF protocol events land on the ring of whatever worker slot runs the
-// handler: the hcmpi communication worker (the poller) or a computation
-// worker issuing the first remote fetch.
-void record_event(support::trace::Ev ev, Guid guid, std::uint64_t bytes) {
-  if (!support::trace::enabled()) return;
-  hc::Worker* w = hc::Runtime::current_worker();
-  if (w != nullptr) {
-    w->trace_ring().record(ev, std::uint32_t(guid), bytes);
-  }
-}
 
 // Messages are built with += throughout: GCC 12 at -O3 warns (-Wrestrict)
 // on `"literal" + std::string`.
@@ -82,12 +71,12 @@ Space::Space(hcmpi::Context& ctx, SpaceConfig cfg)
         }
         std::fprintf(
             f,
-            "  dddf.space rank=%d entries=%llu pending_guids=%llu "
-            "served_pairs=%llu gets_issued=%llu finalized=%d\n",
+            "  dddf.space rank=%d entries=%llu gets_issued=%llu "
+            "registrations=%llu data_sent=%llu finalized=%d\n",
             rank(), (unsigned long long)entries,
-            (unsigned long long)pending_guids_.load(std::memory_order_relaxed),
-            (unsigned long long)served_pairs_.load(std::memory_order_relaxed),
-            (unsigned long long)gets_issued_.load(std::memory_order_relaxed),
+            (unsigned long long)remote_gets_issued(),
+            (unsigned long long)registrations_received(),
+            (unsigned long long)data_messages_sent(),
             int(finalized_.load(std::memory_order_relaxed)));
       });
   // Last: from here on the communication worker dispatches into this object.
@@ -119,12 +108,7 @@ int Space::home_of(Guid guid) const {
 
 Space::Entry* Space::ensure(Guid guid) {
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = entries_.find(guid);
-  if (it != entries_.end()) return it->second.get();
-  auto entry = std::make_unique<Entry>();
-  Entry* out = entry.get();
-  entries_.emplace(guid, std::move(entry));
-  return out;
+  return &entries_.try_emplace(guid).first->second;
 }
 
 hc::DdfBase* Space::handle(Guid guid) { return &ensure(guid)->ddf; }
@@ -145,7 +129,8 @@ hc::DdfBase* Space::request(Guid guid) {
     // its intent on receiving the put data"). The poller sends one REGISTER
     // message per home rank per turn.
     gets_issued_.fetch_add(1, std::memory_order_relaxed);
-    record_event(support::trace::Ev::kDddfGetIssued, guid, 0);
+    prof::Probe().instant(support::trace::Ev::kDddfGetIssued,
+                          std::uint32_t(guid));
     std::lock_guard<support::SpinLock> lk(out_mu_);
     out_.registers[std::size_t(home)].push_back(guid);
     out_dirty_.store(true, std::memory_order_release);
@@ -163,38 +148,37 @@ void Space::put(Guid guid, Bytes data) {
         "hc-check: DDDF put after Space::finalize() — remote consumers can "
         "no longer be served");
   }
-  ensure(guid)->ddf.put(std::move(data));  // releases local DDTs
-  // Registrations that arrived before the put wait in `pending_`, which only
-  // the poller touches, so the guid is queued for the poller to serve them.
-  // A registration racing this put is answered directly by on_register (it
-  // sees the DDF satisfied), and `served_` keeps the transfer at-most-once
-  // either way.
+  Entry* e = ensure(guid);
+  e->ddf.put(std::move(data));  // releases local DDTs
+  // Registrations that arrived before the put wait on the entry, which only
+  // the poller touches, so the entry is queued for the poller to serve them.
+  // A REGISTER the poller handles from here on sees the DDF satisfied and is
+  // served at once; one it handled before is on the list: never both.
   std::lock_guard<support::SpinLock> lk(out_mu_);
-  out_.flushes.push_back(guid);
+  out_.flushes.emplace_back(guid, e);
   out_dirty_.store(true, std::memory_order_release);
   ctx_.wake_comm_worker();
 }
 
 const Bytes& Space::get(Guid guid) { return ensure(guid)->ddf.get(); }
 
-void Space::serve(Guid guid, Entry* e, int requester) {
-  if (!served_[guid].insert(requester).second) return;  // at-most-once
-  served_pairs_.fetch_add(1, std::memory_order_relaxed);
-  record_event(support::trace::Ev::kDddfServed, guid, e->ddf.get().size());
-  append_data(guid, requester, e->ddf.get());
+void Space::serve(Guid guid, const Entry& e, int requester) {
+  const Bytes& value = e.ddf.get();
+  prof::Probe().instant(support::trace::Ev::kDddfServed, std::uint32_t(guid),
+                        value.size());
+  append_data(guid, requester, value);
   data_sent_.fetch_add(1, std::memory_order_relaxed);
 }
 
+// A rank sends one REGISTER per guid and smpi delivers it once, so serving
+// each REGISTER once, here or at the put's flush, is at-most-once transfer.
 void Space::on_register(Guid guid, int requester) {
   regs_received_.fetch_add(1, std::memory_order_relaxed);
   Entry* e = ensure(guid);
   if (e->ddf.satisfied()) {
-    serve(guid, e, requester);  // the "listener task" answering late arrivals
+    serve(guid, *e, requester);  // the "listener task" answering late arrivals
   } else {
-    Waiting& w = pending_[guid];
-    w.entry = e;
-    w.requesters.push_back(requester);
-    pending_guids_.store(pending_.size(), std::memory_order_relaxed);
+    e->waiting.push_back(requester);
   }
 }
 
@@ -254,14 +238,9 @@ bool Space::drain_outbox(smpi::Comm& comm) {
     }
     guids.clear();
   }
-  for (Guid guid : draining_.flushes) {
-    auto it = pending_.find(guid);
-    if (it == pending_.end()) continue;
-    for (int requester : it->second.requesters) {
-      serve(guid, it->second.entry, requester);
-    }
-    pending_.erase(it);
-    pending_guids_.store(pending_.size(), std::memory_order_relaxed);
+  for (auto [guid, e] : draining_.flushes) {
+    for (int requester : e->waiting) serve(guid, *e, requester);
+    std::vector<int>().swap(e->waiting);  // served once; release the list
   }
   draining_.flushes.clear();
   flush_data(comm);
@@ -315,7 +294,8 @@ bool Space::poll(smpi::Comm& comm) {
                     rx_.begin() + std::ptrdiff_t(off + len));
       off += len;
       bytes_received_ += len;
-      record_event(support::trace::Ev::kDddfData, guid, len);
+      prof::Probe().instant(support::trace::Ev::kDddfData,
+                            std::uint32_t(guid), len);
       on_data(guid, std::move(payload));
     }
   }

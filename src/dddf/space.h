@@ -10,20 +10,23 @@
 // with put(); any rank consumes it with async_await + get(). Under the hood:
 //
 //   * the first local await on a remote guid sends REGISTER(guid, me) to the
-//     home rank;
-//   * the home rank answers with DATA once the value exists (a listener —
-//     the communication worker's poller — serves late registrations);
+//     home rank, once per rank and guid;
+//   * the home rank answers with DATA once the value exists: at once when
+//     the REGISTER finds it, otherwise when the put's flush reaches the
+//     communication worker's poller (the listener);
 //   * the payload is cached locally, so "the data transfer from home to
 //     remote happens at most once" and later awaits succeed immediately;
 //   * finalize() is the global termination step that lets every rank's
 //     listener keep serving until all ranks are provably quiescent.
 //
-// The protocol rides the HCMPI communication worker (paper §III-B), in thread
-// and socket mode alike, and all of it runs in that worker's poller, so the
-// home-side tables need no locks. No protocol step is a comm task:
-// registrations and put flushes wait in an outbox that the poller drains on
-// every turn (each push rings a parked communication worker under the
-// outbox lock), and the poller sends DATA itself.
+// Each guid has one Entry on each rank that touches it: the DDF, whether
+// this rank has asked the home for it, and the ranks whose REGISTER arrived
+// before the put. The protocol rides the HCMPI communication worker (paper
+// §III-B), in thread and socket mode alike, and all of it runs in that
+// worker's poller, so the waiting lists need no locks. No protocol step is
+// a comm task: registrations and put flushes wait in an outbox that the
+// poller drains on every turn (each push rings a parked communication
+// worker under the outbox lock), and the poller sends DATA itself.
 //
 // Wire format, on the system communicator: one smpi message per destination
 // per poller step.
@@ -44,11 +47,10 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/ddf.h"
@@ -182,15 +184,20 @@ class Space {
   }
 
  private:
+  // The one record of a guid on this rank, created on first use and kept
+  // until the Space goes, so an Entry* stays valid across rehashes.
   struct Entry {
     hc::Ddf<Bytes> ddf;
     std::atomic<bool> fetch_requested{false};
+    // Ranks whose REGISTER arrived before the put (home rank, poller only).
+    std::vector<int> waiting;
   };
   // Filled from any thread under out_mu_; the poller swaps it out whole.
   struct Outbox {
     std::vector<std::vector<Guid>> registers;  // per home rank
-    std::vector<Guid> flushes;  // puts whose early registrations to serve
-    bool arrive = false;        // broadcast ARRIVE to every peer
+    // Puts whose waiting lists to serve.
+    std::vector<std::pair<Guid, Entry*>> flushes;
+    bool arrive = false;  // broadcast ARRIVE to every peer
   };
   // A DATA batch being filled for one destination: records back to back,
   // cut into messages of at most kBatchCap bytes.
@@ -213,7 +220,7 @@ class Space {
   void flush_data(smpi::Comm& comm);
   void on_register(Guid guid, int requester);
   void on_data(Guid guid, Bytes payload);
-  void serve(Guid guid, Entry* e, int requester);
+  void serve(Guid guid, const Entry& e, int requester);
   // Appends a record to the DATA batch for `to`.
   void append_data(Guid guid, int to, const Bytes& payload);
 
@@ -230,7 +237,7 @@ class Space {
   const int size_;
   int diag_id_ = -1;  // fault::register_diagnostic handle
   std::mutex mu_;
-  std::unordered_map<Guid, std::unique_ptr<Entry>> entries_;
+  std::unordered_map<Guid, Entry> entries_;
   std::atomic<bool> finalized_{false};
   // Barrier-arrival flags (one-shot; finalize happens once per Space): set
   // by the poller when a peer's ARRIVE lands, read by a deadlined finalize
@@ -245,13 +252,7 @@ class Space {
   std::atomic<std::uint64_t> gets_issued_{0};
 
   // Poller-only state (no lock needed).
-  struct Waiting {
-    Entry* entry = nullptr;
-    std::vector<int> requesters;
-  };
-  alignas(64) std::unordered_map<Guid, Waiting> pending_;  // before the put
-  std::unordered_map<Guid, std::unordered_set<int>> served_;
-  Outbox draining_;                  // the outbox being sent; swapped with out_
+  alignas(64) Outbox draining_;      // the outbox being sent; swapped with out_
   std::vector<DataBatch> data_out_;  // per destination rank
   Bytes rx_;                         // receive buffer
   std::uint64_t bytes_sent_ = 0;
@@ -263,10 +264,6 @@ class Space {
   std::atomic<std::uint64_t> regs_received_{0};
   std::atomic<std::uint64_t> register_batches_received_{0};
   std::atomic<std::uint64_t> data_batches_sent_{0};
-  // Relaxed mirrors of the poller's tables, readable from the watchdog's
-  // diagnostic dump (any thread).
-  std::atomic<std::uint64_t> pending_guids_{0};
-  std::atomic<std::uint64_t> served_pairs_{0};
 };
 
 }  // namespace dddf

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <thread>
 
+#include "prof/prof.h"
 #include "support/flags.h"
 #include "support/metrics.h"
 #include "support/rng.h"
@@ -226,18 +227,12 @@ Decision decide(int src, int dst, int lane) {
     if (d.drop) reg.counter("fault.injected.drop").add();
     if (d.dup) reg.counter("fault.injected.dup").add();
     if (d.delay_us != 0) reg.counter("fault.injected.delay").add();
-    if (auto* ring = support::trace::thread_ring()) {
-      if (d.drop) {
-        ring->record(support::trace::Ev::kFaultDrop, std::uint32_t(dst),
-                     d.seq);
-      }
-      if (d.dup) {
-        ring->record(support::trace::Ev::kFaultDup, std::uint32_t(dst), d.seq);
-      }
-      if (d.delay_us != 0) {
-        ring->record(support::trace::Ev::kFaultDelay, std::uint32_t(dst),
-                     d.delay_us);
-      }
+    const prof::Probe p;
+    const auto to = std::uint32_t(dst);
+    if (d.drop) p.instant(support::trace::Ev::kFaultDrop, to, d.seq);
+    if (d.dup) p.instant(support::trace::Ev::kFaultDup, to, d.seq);
+    if (d.delay_us != 0) {
+      p.instant(support::trace::Ev::kFaultDelay, to, d.delay_us);
     }
   }
   return d;
@@ -258,9 +253,7 @@ std::uint32_t retry_backoff(std::uint32_t attempt) {
   auto& reg = support::MetricsRegistry::global();
   reg.counter("retry.count").add();
   reg.histogram("retry.backoff_us").add(double(us));
-  if (auto* ring = support::trace::thread_ring()) {
-    ring->record(support::trace::Ev::kRetry, attempt, us);
-  }
+  prof::Probe().instant(support::trace::Ev::kRetry, attempt, us);
   std::this_thread::sleep_for(std::chrono::microseconds(us));
   return us;
 }

@@ -48,8 +48,9 @@ void Context::comm_worker_main() {
       return;
     }
     support::MetricsRegistry::global().counter("request.timeout.count").add();
-    self->trace_ring().record(support::trace::Ev::kRequestTimeout, t->slot_id,
-                              t->gen.load(std::memory_order_relaxed));
+    prof::Probe(&self->trace_ring())
+        .instant(support::trace::Ev::kRequestTimeout, t->slot_id,
+                 t->gen.load(std::memory_order_relaxed));
     if (t->request.raise_on_timeout.load(std::memory_order_relaxed) &&
         t->finish != nullptr) {
       t->finish->capture_exception(std::make_exception_ptr(
@@ -67,9 +68,9 @@ void Context::comm_worker_main() {
   // fault diagnostics registry (the DDDF space's table).
   auto watchdog_fire = [&](std::uint64_t stall_ns) {
     support::MetricsRegistry::global().counter("watchdog.fired").add();
-    self->trace_ring().record(
-        support::trace::Ev::kWatchdogFired,
-        std::uint32_t(active.size() + coll_queue.size()), stall_ns);
+    prof::Probe(&self->trace_ring())
+        .instant(support::trace::Ev::kWatchdogFired,
+                 std::uint32_t(active.size() + coll_queue.size()), stall_ns);
     std::FILE* f = stderr;
     std::fprintf(f,
                  "\n== hcmpi watchdog: rank %d saw no comm-task lifecycle "

@@ -16,6 +16,7 @@
 #include <stdexcept>
 
 #include "fault/fault.h"
+#include "prof/prof.h"
 #include "support/metrics.h"
 #include "support/trace.h"
 
@@ -52,11 +53,6 @@ struct Counters {
 Counters& counters() {
   static Counters c;
   return c;
-}
-
-void rec(support::trace::Ev ev, std::uint32_t a, std::uint64_t b) {
-  if (!support::trace::enabled()) return;
-  if (auto* ring = support::trace::thread_ring()) ring->record(ev, a, b);
 }
 
 void set_cloexec_nonblock(int fd) {
@@ -169,8 +165,8 @@ Fabric::SendResult Fabric::try_send(int dst, Frame& f) {
     }
     if (p.sendq.size() >= opts_.sendq_cap) {
       counters().would_block.add();
-      rec(support::trace::Ev::kNetBackpressure, std::uint32_t(dst),
-          p.sendq.size());
+      prof::Probe().instant(support::trace::Ev::kNetBackpressure,
+                            std::uint32_t(dst), p.sendq.size());
       return SendResult::kWouldBlock;
     }
     f.src = std::uint32_t(opts_.proc);
@@ -353,15 +349,15 @@ void Fabric::mark_dead(Peer& p, bool refused, bool half_open) {
   p.delayed.clear();
   if (refused) {
     counters().conn_refused.add();
-    rec(support::trace::Ev::kConnRefused, std::uint32_t(p.id), 0);
+    prof::Probe().instant(support::trace::Ev::kConnRefused,
+                          std::uint32_t(p.id));
   } else {
     counters().conn_dead.add();
     if (half_open) counters().conn_half_open.add();
-    auto silence = Clock::now() - p.last_rx;
-    rec(support::trace::Ev::kPeerDead, std::uint32_t(p.id),
-        std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          silence)
-                          .count()));
+    const auto silence = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        Clock::now() - p.last_rx);
+    prof::Probe().instant(support::trace::Ev::kPeerDead, std::uint32_t(p.id),
+                          std::uint64_t(silence.count()));
   }
   cv_.notify_all();
 }
@@ -379,8 +375,8 @@ void Fabric::conn_down(Peer& p, int err) {
   p.delayed.clear();
   p.reader = FrameReader{};
   if (was_up) {
-    rec(support::trace::Ev::kConnDown, std::uint32_t(p.id),
-        std::uint64_t(err));
+    prof::Probe().instant(support::trace::Ev::kConnDown, std::uint32_t(p.id),
+                          std::uint64_t(err));
   }
   p.next_attempt = Clock::now() + std::chrono::milliseconds(p.backoff_ms);
   p.backoff_ms = std::min<std::uint32_t>(p.backoff_ms * 2, 200);
@@ -420,7 +416,8 @@ void Fabric::attach(Peer& p, int fd, FrameReader reader, Clock::time_point now) 
   if (re) {
     counters().reconnects.add();
   }
-  rec(support::trace::Ev::kConnUp, std::uint32_t(p.id), re ? 1 : 0);
+  prof::Probe().instant(support::trace::Ev::kConnUp, std::uint32_t(p.id),
+                        re ? 1 : 0);
 }
 
 void Fabric::try_connect(Peer& p, Clock::time_point now) {

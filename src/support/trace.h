@@ -10,9 +10,10 @@
 //   * Fixed capacity, drop-oldest: the producer never blocks and never
 //     fails; a full ring silently overwrites its oldest slot and bumps a
 //     dropped counter so the exporter can report truncation.
-//   * Runtime gate: every record first tests the trace bit of the process-
-//     wide gate word (below); with tracing disabled the cost is one relaxed
-//     load of an inline atomic and one predictable branch.
+//   * Runtime gate: every record (through prof::Probe) first tests the trace
+//     bit of the process-wide gate word (below); with tracing disabled the
+//     cost is one relaxed load of an inline atomic and one predictable
+//     branch.
 //   * Snapshots may run concurrently with the producer. The reader validates
 //     each copied slot against the head index afterwards and discards slots
 //     the producer may have been overwriting (bounded staleness instead of
@@ -93,7 +94,7 @@ struct Event {
 // relaxed atomic word, so an instrumented site loads the word once and
 // decides everything from that copy (prof::Probe).
 enum Gate : std::uint32_t {
-  kGateTrace = 1u << 0,      // ring events (record() below)
+  kGateTrace = 1u << 0,      // ring events (prof::Probe)
   kGateProf = 1u << 1,       // the prof state register (prof::enabled)
   kGateTelemetry = 1u << 2,  // telemetry histograms (prof::telemetry)
 };
@@ -107,7 +108,7 @@ inline std::uint32_t gates() {
 }
 void set_gate(Gate g, bool on);
 
-// The trace bit; record() is a no-op while it is clear.
+// The trace bit; a Probe records no event while it is clear.
 inline bool enabled() { return (gates() & kGateTrace) != 0; }
 void set_enabled(bool on);
 
@@ -126,13 +127,9 @@ class Ring {
   Ring(const Ring&) = delete;
   Ring& operator=(const Ring&) = delete;
 
-  // Producer-side (the owning worker thread only). Gated on enabled().
-  void record(Ev kind, std::uint32_t a = 0, std::uint64_t b = 0) {
-    if (!enabled()) return;
-    emit(kind, now_ns(), a, b);
-  }
-
-  // Unconditional append with an explicit timestamp (tests, replay).
+  // Producer-side (the owning thread only): an unconditional append with an
+  // explicit timestamp. Instrumented sites go through prof::Probe, which
+  // appends under the trace bit.
   void emit(Ev kind, std::uint64_t ts_ns, std::uint32_t a, std::uint64_t b);
 
   // Copies the resident events oldest-first. Safe to call concurrently with
@@ -164,8 +161,9 @@ class Ring {
 // --- thread-local ring binding ----------------------------------------------
 
 // The ring bound to the calling thread (nullptr when unbound). The core
-// runtime binds each worker's ring as its thread starts; layers that cannot
-// link against the runtime (smpi wire, src/fault) record through this.
+// runtime binds each worker's ring as its thread starts; a prof::Probe given
+// no ring records here, so layers that cannot link against the runtime
+// (smpi wire, src/fault, src/net) need no worker.
 Ring* thread_ring();
 void set_thread_ring(Ring* r);
 

@@ -243,6 +243,30 @@ TEST(Alloc, ServedDddfValueIsCopiedOnceIntoTheBatch) {
   EXPECT_EQ(g_watched.load(), 2u * kValues);
 }
 
+TEST(Alloc, SpaceEntryIsOneBlockPerGuid) {
+  // A guid's first handle() builds its one entry inside the guid table's
+  // node; only the table's bucket array, which grows geometrically, adds a
+  // few allocations over the whole count.
+  constexpr int kWarm = 1000;
+  constexpr int kGuids = 10000;
+  fault::reset();
+  net::set_mode(net::Mode::kThread);
+  std::uint64_t start = 0, end = 0;
+  smpi::World::run(1, [&](smpi::Comm& comm) {
+    hcmpi::Context ctx(comm, {.num_workers = 1});
+    dddf::Space space(ctx, {.home = [](dddf::Guid) { return 0; },
+                            .size = [](dddf::Guid) { return sizeof(int); }});
+    for (int i = 0; i < kWarm; ++i) space.handle(dddf::Guid(i));
+    start = g_news.load();
+    for (int i = kWarm; i < kWarm + kGuids; ++i) space.handle(dddf::Guid(i));
+    end = g_news.load();
+  });
+  const double per = double(end - start) / kGuids;
+  std::printf("%llu allocations over %d guids: %.4f per guid\n",
+              (unsigned long long)(end - start), kGuids, per);
+  EXPECT_LE(per, 1.01);
+}
+
 TEST(Alloc, SwTileAllocatesOnlyItsOutputs) {
   // The sw_dddf tile shape. The kernel's diagonals and widened sequences
   // live in per-thread scratch that the first call grows, so a steady-state

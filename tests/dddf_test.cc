@@ -194,6 +194,44 @@ TEST(Dddf, AwaitPostedBeforeProducerRuns) {
   });
 }
 
+TEST(Dddf, EarlyAndLateRegistrationsOfOneGuid) {
+  // One guid homed at rank 0, served on both paths. Rank 1 awaits at once,
+  // and rank 0 puts only after its REGISTER arrived, so that registration
+  // waits on the guid's entry until the put's flush serves it. Rank 2
+  // awaits only after rank 0's go message, sent after the put, so its
+  // REGISTER finds the value and is served on arrival. The ranks
+  // coordinate through messages only, so it also runs under hcmpi_launch.
+  constexpr int kGo = 9;
+  constexpr dddf::Guid g = 0;
+  smpi::World::run(3, [&](smpi::Comm& comm) {
+    hcmpi::Context ctx(comm, {.num_workers = 2});
+    dddf::Space space(ctx, cyclic(3));
+    ctx.run([&] {
+      if (ctx.rank() == 0) {
+        while (space.registrations_received() < 1) std::this_thread::yield();
+        space.put_value<int>(g, 42);
+        int go = 1;
+        ctx.send(&go, sizeof go, 2, kGo);
+      } else {
+        if (ctx.rank() == 2) {
+          int go = 0;
+          ctx.recv(&go, sizeof go, 0, kGo);
+        }
+        std::atomic<int> got{-1};
+        hc::finish([&] {
+          space.async_await({g}, [&] { got.store(space.get_value<int>(g)); });
+        });
+        EXPECT_EQ(got.load(), 42);
+      }
+      space.finalize();
+      if (ctx.rank() == 0) {
+        EXPECT_EQ(space.registrations_received(), 2u);
+        EXPECT_EQ(space.data_messages_sent(), 2u);
+      }
+    });
+  });
+}
+
 TEST(Dddf, ChainAcrossRanks) {
   // guid k is produced by rank k%R from guid k-1's value: a distributed
   // dataflow pipeline with no explicit messages.

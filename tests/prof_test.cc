@@ -432,7 +432,8 @@ TEST(TraceDropped, CountsRingOverwrites) {
     support::trace::Ring ring(8);
     support::trace::set_enabled(true);
     for (int i = 0; i < 20; ++i) {
-      ring.record(support::trace::Ev::kTaskStart, std::uint32_t(i));
+      prof::Probe(&ring).instant(support::trace::Ev::kTaskStart,
+                                 std::uint32_t(i));
     }
     support::trace::set_enabled(false);
   }

@@ -13,6 +13,7 @@
 #include "core/runtime.h"
 #include "dddf/space.h"
 #include "hcmpi/context.h"
+#include "prof/prof.h"
 #include "smpi/world.h"
 #include "support/metrics.h"
 #include "support/trace.h"
@@ -38,7 +39,7 @@ struct TraceGateGuard {
 TEST(TraceRing, DisabledRecordIsDropped) {
   TraceGateGuard guard;
   trace::Ring ring(16);
-  ring.record(trace::Ev::kTaskSpawn, 1, 2);
+  prof::Probe(&ring).instant(trace::Ev::kTaskSpawn, 1, 2);
   EXPECT_EQ(ring.recorded(), 0u);
   EXPECT_TRUE(ring.snapshot().empty());
 }
@@ -47,7 +48,7 @@ TEST(TraceRing, EnabledRecordLands) {
   TraceGateGuard guard;
   trace::set_enabled(true);
   trace::Ring ring(16);
-  ring.record(trace::Ev::kTaskSpawn, 7, 99);
+  prof::Probe(&ring).instant(trace::Ev::kTaskSpawn, 7, 99);
   auto evs = ring.snapshot();
   ASSERT_EQ(evs.size(), 1u);
   EXPECT_EQ(evs[0].kind, trace::Ev::kTaskSpawn);
@@ -300,8 +301,8 @@ TEST(TraceExport, WriteFileRoundTrip) {
   TraceGateGuard guard;
   trace::set_enabled(true);
   trace::Ring ring(8);
-  ring.record(trace::Ev::kTaskStart, 0, 0);
-  ring.record(trace::Ev::kTaskEnd, 0, 0);
+  ring.emit(trace::Ev::kTaskStart, trace::now_ns(), 0, 0);
+  ring.emit(trace::Ev::kTaskEnd, trace::now_ns(), 0, 0);
   trace::Collector::global().add_track(
       {0, 0, "worker-0", ring.snapshot(), 0});
   std::string path = ::testing::TempDir() + "trace_roundtrip.json";
