@@ -170,6 +170,18 @@ class Runtime {
   std::uint64_t prof_sampler_id_ = 0;  // telemetry deque-depth gauge
 };
 
+// Parks on `ec`, whose prepare() returned `key`, until it rings or
+// deadline_ns passes, as an idle span: the prof state reads idle and the
+// trace records kIdleBegin/kIdleEnd. A worker's park in wait_until and the
+// communication worker's park both go through here.
+inline void park_idle(support::EventCount& ec, support::EventCount::Key key,
+                      std::uint64_t deadline_ns) {
+  prof::Probe p(prof::State::kIdle);
+  p.instant(support::trace::Ev::kIdleBegin);
+  ec.commit(key, deadline_ns);
+  p.instant(support::trace::Ev::kIdleEnd);
+}
+
 // The one wait loop (DESIGN.md §5): true once done() holds, false once
 // deadline_ns (now_ns clock; 0 = none) passes. A computation worker of
 // `help` runs tasks meanwhile. With nothing to run a thread polls for
@@ -207,10 +219,7 @@ bool wait_until(const char* what, Done&& done, support::EventCount& ec,
     if (done() || (w != nullptr && (t = w->try_get_task()) != nullptr)) {
       park.cancel();
     } else {
-      prof::Probe p(prof::State::kIdle);  // a worker's park is an idle span
-      p.instant(support::trace::Ev::kIdleBegin);
-      park.commit(key, deadline_ns);
-      p.instant(support::trace::Ev::kIdleEnd);
+      park_idle(park, key, deadline_ns);
     }
     if (forwarded) ec.cancel();
     if (t != nullptr) {

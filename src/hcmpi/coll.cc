@@ -12,11 +12,6 @@ RequestHandle Context::submit_collective(smpi::CollScript script) {
   t->script = std::make_unique<smpi::CollScript>(std::move(script));
   t->finish = nullptr;
   RequestHandle req(&t->request);
-  // Linked like p2p requests so a deadlined finalize barrier is cancellable
-  // (Space::finalize timeout; see the kCancel path).
-  req->task.store(t, std::memory_order_release);
-  req->task_gen.store(t->gen.load(std::memory_order_acquire),
-                      std::memory_order_release);
   submit(t);
   return req;
 }

@@ -90,8 +90,8 @@ constexpr bool valid_transition(CommTaskState from, CommTaskState to) {
 
 // An HCMPI request is a DDF of Status ("An important property of an
 // HCMPI_Request object is that it can also be provided wherever an HC DDF is
-// expected", §II-B) plus a guarded pointer to its communication task so
-// test/cancel can reach the in-flight operation.
+// expected", §II-B) that lives in its communication task's slot, so cancel
+// reaches the in-flight operation through the slot.
 struct CommTask;
 
 // Raised *into the enclosing finish scope* when a request with a deadline
@@ -116,9 +116,6 @@ class RequestTimeout : public std::runtime_error {
 
 class RequestImpl : public hc::Ddf<Status> {
  public:
-  std::atomic<CommTask*> task{nullptr};
-  std::atomic<std::uint64_t> task_gen{0};
-
   // Per-request deadline (hc-fault): the communication worker's ACTIVE scan
   // completes an expired request with Status.error = kTimeout instead of
   // letting it hang, and a parked communication worker is rung so that it
@@ -208,9 +205,8 @@ struct CommTask : support::MpscNode {  // the link of the worklist
   // Held out of line so the point-to-point tasks stay small.
   std::unique_ptr<smpi::CollScript> script;
 
-  // Cancel command.
+  // Cancel command: the request's own slot, pinned by the caller's handle.
   CommTask* target = nullptr;
-  std::uint64_t target_gen = 0;
 
   // Exec command.
   std::function<void(smpi::Comm&)> exec;

@@ -116,9 +116,9 @@ void Context::comm_worker_main() {
     transition(*t, CommTaskState::kActive);
   };
 
-  // Profiler state register: the whole progress loop is "comm progress".
-  // Re-armed lazily so profiling enabled after thread start still attributes
-  // this thread (one relaxed load per iteration until then).
+  // Profiler state register: the progress loop is "comm progress", its park
+  // "idle". Re-armed lazily so profiling enabled after thread start still
+  // attributes this thread (one relaxed load per iteration until then).
   bool prof_bound = false;
 
   // When a parked worker must wake without a ring: the nearest request
@@ -177,10 +177,9 @@ void Context::comm_worker_main() {
         }
         case CommKind::kCancel: {
           CommTask* target = t->target;
-          // The generation check makes a stale handle harmless: a recycled
-          // slot has a bumped generation and is left alone.
+          // The canceller's handle pins the slot, so it cannot have been
+          // recycled; a target that already completed is left alone.
           if (target != nullptr &&
-              target->gen.load(std::memory_order_acquire) == t->target_gen &&
               target->state.load(std::memory_order_acquire) ==
                   CommTaskState::kActive) {
             if (target->kind == CommKind::kIrecv) {
@@ -298,7 +297,7 @@ void Context::comm_worker_main() {
       if (progress || !worklist_.empty_approx()) {
         doorbell.cancel();
       } else {
-        doorbell.commit(key, next_timer());
+        hc::park_idle(doorbell, key, next_timer());
       }
       continue;
     }

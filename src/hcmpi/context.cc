@@ -32,7 +32,7 @@ void RequestImpl::set_timeout(std::uint64_t timeout_us, bool raise) {
   deadline_ns.store(support::trace::now_ns() + timeout_us * 1000,
                     std::memory_order_release);
   // In flight, so the doorbell is alive; a fence orders the plain store.
-  if (slot_ != nullptr && task.load(std::memory_order_acquire) != nullptr) {
+  if (slot_ != nullptr && !satisfied()) {
     std::atomic_thread_fence(std::memory_order_seq_cst);
     slot_->doorbell->notify();
   }
@@ -40,8 +40,6 @@ void RequestImpl::set_timeout(std::uint64_t timeout_us, bool raise) {
 
 void RequestImpl::recycle() {
   clear_for_reuse();
-  task.store(nullptr, std::memory_order_relaxed);
-  task_gen.store(0, std::memory_order_relaxed);
   deadline_ns.store(0, std::memory_order_relaxed);
   raise_on_timeout.store(false, std::memory_order_relaxed);
 }
@@ -258,9 +256,6 @@ void Context::complete_task(CommTask* t, const Status& st) {
   }
   transition(*t, CommTaskState::kCompleted);
   hc::FinishScope* fs = t->finish;
-  // Unlink first: a racing cancel/test sees either a live task with a
-  // matching generation or no task at all.
-  t->request.task.store(nullptr, std::memory_order_release);
   // Putting the status releases DDTs awaiting this request and wakes
   // help-waiters; the worker's reference keeps the slot until release.
   t->request.put(st);
@@ -314,9 +309,6 @@ RequestHandle Context::make_p2p(CommKind kind, const void* sbuf, void* rbuf,
   t->finish = fs;
   // Taken before submit: the worker may complete and release the task first.
   RequestHandle req(&t->request);
-  req->task.store(t, std::memory_order_release);
-  req->task_gen.store(t->gen.load(std::memory_order_acquire),
-                      std::memory_order_release);
   submit(t);
   return req;
 }
@@ -400,12 +392,17 @@ int Context::waitany(const std::vector<RequestHandle>& rs, Status* st) {
 
 bool Context::cancel(const RequestHandle& r) {
   if (!r || r->satisfied()) return false;
-  CommTask* target = r->task.load(std::memory_order_acquire);
+  // The handle pins the request's slot, so the slot is the operation's own
+  // until the handle drops; a bare request has none.
+  CommTask* target = r->slot_;
   if (target == nullptr) return false;
+  if (target->kind != CommKind::kIrecv &&
+      target->kind != CommKind::kCollective) {
+    return false;  // only a posted receive or a queued collective can go
+  }
   CommTask* t = allocate_task();
   t->kind = CommKind::kCancel;
   t->target = target;
-  t->target_gen = r->task_gen.load(std::memory_order_acquire);
   t->finish = nullptr;
   submit(t);
   // Cancellation is itself asynchronous; the caller observes the outcome on

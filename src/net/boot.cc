@@ -40,7 +40,6 @@ ProcEnv read_proc_env() {
   p.ranks_per_proc = int(env_long("HCMPI_RANKS_PER_PROC", 0));
   const char* sess = std::getenv("HCMPI_SESSION");
   if (sess != nullptr) p.session = sess;
-  p.tcp_base = int(env_long("HCMPI_TCP_BASE", 0));
   p.heartbeat_ms =
       std::uint32_t(env_long("HCMPI_NET_HEARTBEAT_MS", long(p.heartbeat_ms)));
   p.death_timeout_ms = std::uint32_t(

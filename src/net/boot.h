@@ -45,7 +45,6 @@ struct ProcEnv {
   int nprocs = 1;  // processes in the job
   int ranks_per_proc = 0;  // 0 = derive from world size at World creation
   std::string session;     // rendezvous directory for UDS paths
-  int tcp_base = 0;        // nonzero: TCP on 127.0.0.1 instead of UDS
 
   std::uint32_t heartbeat_ms = 50;
   std::uint32_t death_timeout_ms = 3000;

@@ -1,9 +1,6 @@
 #include "net/fabric.h"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -97,46 +94,24 @@ std::string Fabric::uds_path(int p) const {
          std::to_string(p);
 }
 
-int Fabric::tcp_port(int p) const {
-  return opts_.tcp_base + opts_.job * opts_.nprocs + p;
-}
-
 void Fabric::open_listener() {
-  if (opts_.tcp_base != 0) {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) throw std::runtime_error("net: socket() failed");
-    int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(std::uint16_t(tcp_port(opts_.proc)));
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-        0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      throw std::runtime_error("net: tcp bind failed on port " +
-                               std::to_string(tcp_port(opts_.proc)));
-    }
-  } else {
-    ::mkdir(opts_.session.c_str(), 0700);  // lenient: EEXIST is the norm
-    listen_path_ = uds_path(opts_.proc);
-    if (listen_path_.size() >= sizeof(sockaddr_un{}.sun_path)) {
-      throw std::runtime_error("net: session path too long: " + listen_path_);
-    }
-    ::unlink(listen_path_.c_str());
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) throw std::runtime_error("net: socket() failed");
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, listen_path_.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-        0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      throw std::runtime_error("net: uds bind failed: " + listen_path_);
-    }
+  ::mkdir(opts_.session.c_str(), 0700);  // lenient: EEXIST is the norm
+  listen_path_ = uds_path(opts_.proc);
+  if (listen_path_.size() >= sizeof(sockaddr_un{}.sun_path)) {
+    throw std::runtime_error("net: session path too long: " + listen_path_);
+  }
+  ::unlink(listen_path_.c_str());
+  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (listen_fd_ < 0) throw std::runtime_error("net: socket() failed");
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, listen_path_.c_str(),
+               sizeof(addr.sun_path) - 1);
+  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
+      0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    throw std::runtime_error("net: uds bind failed: " + listen_path_);
   }
   set_cloexec_nonblock(listen_fd_);
   if (::listen(listen_fd_, 64) != 0) {
@@ -387,10 +362,6 @@ void Fabric::attach(Peer& p, int fd, FrameReader reader, Clock::time_point now) 
   if (p.fd >= 0 && p.fd != fd) ::close(p.fd);
   p.fd = fd;
   set_cloexec_nonblock(p.fd);
-  if (opts_.tcp_base != 0) {
-    int one = 1;
-    ::setsockopt(p.fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  }
   p.connecting = false;
   p.up = true;
   p.ever_up = true;
@@ -421,27 +392,15 @@ void Fabric::attach(Peer& p, int fd, FrameReader reader, Clock::time_point now) 
 }
 
 void Fabric::try_connect(Peer& p, Clock::time_point now) {
-  int fd;
-  int rc;
-  if (opts_.tcp_base != 0) {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return;
-    set_cloexec_nonblock(fd);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(std::uint16_t(tcp_port(p.id)));
-    rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
-  } else {
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return;
-    set_cloexec_nonblock(fd);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, uds_path(p.id).c_str(),
-                 sizeof(addr.sun_path) - 1);
-    rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
-  }
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return;
+  set_cloexec_nonblock(fd);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, uds_path(p.id).c_str(),
+               sizeof(addr.sun_path) - 1);
+  const int rc =
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
   if (rc == 0) {
     attach(p, fd, FrameReader{}, now);
     return;

@@ -1,13 +1,12 @@
 // hc-net Fabric: one process's view of the socket mesh (DESIGN.md §9).
 //
-// A Fabric owns one duplex stream connection per peer process (Unix-domain
-// by default, TCP loopback when tcp_base is set) and a single poll()-driven
-// IO thread that does everything: connect/accept supervision with
-// capped-backoff reconnect, framing, per-connection sequencing + selective
-// acks + RTO retransmission, exactly-once in-order release through a
-// Reorderer, heartbeats and silence-based peer-death detection, deferred
-// (never sleeping) fault-injected delays, and the flush→goodbye teardown
-// handshake. Senders interact only through bounded per-peer queues:
+// A Fabric owns one duplex Unix-domain stream connection per peer process
+// and a single poll()-driven IO thread that does everything: connect/accept
+// supervision with capped-backoff reconnect, framing, per-connection
+// sequencing + selective acks + RTO retransmission, exactly-once in-order
+// release through a Reorderer, heartbeats and silence-based peer-death
+// detection, deferred (never sleeping) fault-injected delays, and the
+// flush→goodbye teardown handshake. Senders interact only through bounded per-peer queues:
 // try_send() reports kWouldBlock instead of buffering without limit, and
 // send() parks on a condition variable until the queue drains or the peer
 // dies.
@@ -48,7 +47,6 @@ struct FabricOptions {
   int job = 0;          // per-process instance counter (path uniqueness)
   int proc = 0;
   int nprocs = 1;
-  int tcp_base = 0;  // nonzero: TCP on 127.0.0.1, port = base + job*nprocs+p
 
   std::uint32_t heartbeat_ms = 50;
   std::uint32_t death_timeout_ms = 3000;
@@ -169,7 +167,6 @@ class Fabric {
   void wake();
   bool initiator(int p) const { return opts_.proc < p; }
   std::string uds_path(int p) const;
-  int tcp_port(int p) const;
 
   void maintain(Peer& p, std::chrono::steady_clock::time_point now);
   void try_connect(Peer& p, std::chrono::steady_clock::time_point now);

@@ -111,7 +111,7 @@ class FrameReader {
 // --- receiver-side sequencing -----------------------------------------------
 
 // In-order release of reliable frames for one connection. Frames arrive out
-// of order only through loss + retransmission (TCP/UDS streams don't
+// of order only through loss + retransmission (UDS streams don't
 // reorder), but retransmits make it routine: seq 7 lost, 8..12 buffered
 // here until 7's retransmit lands, then all release together. Duplicates,
 // below the horizon or of a buffered frame, are dropped; each seq is

@@ -1,25 +1,15 @@
 #include "prof/prof.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <thread>
 
 #include "support/trace.h"
-
-#if defined(__linux__)
-#include <csignal>
-#include <ctime>
-#include <sys/syscall.h>
-#include <unistd.h>
-#define HCPROF_HAVE_THREAD_TIMERS 1
-#ifndef sigev_notify_thread_id
-#define sigev_notify_thread_id _sigev_un._tid
-#endif
-#endif
 
 namespace prof {
 
@@ -34,20 +24,17 @@ struct GaugeSampler {
 
 struct Registry {
   std::mutex mu;
-  std::vector<std::shared_ptr<ThreadProfile>> profiles;
+  std::vector<std::unique_ptr<ThreadProfile>> profiles;
 
   // Sampler configuration (guarded by mu).
   bool sampler_running = false;
-  bool signal_mode = true;
   int hz = 997;
 
-  // Cadence thread: services sampler-thread ticks and gauge callbacks;
-  // exits on its own when neither profiling (thread mode) nor telemetry
-  // needs it, and is respawned on demand.
+  // Cadence thread: samples every live profile at `hz` while the sampler
+  // runs and services gauge callbacks while telemetry is on; it exits on its
+  // own when neither needs it, and is respawned on demand.
   std::mutex thread_mu;
-  std::thread cadence;
   std::atomic<bool> cadence_alive{false};
-  std::atomic<bool> cadence_stop{false};
 
   std::mutex gauges_mu;  // held across callback invocation (see add_sampler)
   std::vector<GaugeSampler> gauges;
@@ -63,92 +50,6 @@ Registry& reg() {
 
 thread_local ThreadProfile* tl_profile = nullptr;
 
-// --- per-thread CPU-time timers (Linux) -------------------------------------
-
-#if HCPROF_HAVE_THREAD_TIMERS
-
-void sigprof_handler(int) {
-  // Async-signal-safe: one TLS read, two relaxed atomic ops, nothing else.
-  ThreadProfile* p = tl_profile;
-  if (!p) return;
-  std::uint8_t s = p->state.load(std::memory_order_relaxed);
-  if (s < kNumStates)
-    p->samples[s].fetch_add(1, std::memory_order_relaxed);
-}
-
-void install_sigprof_handler() {
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof sa);
-  sa.sa_handler = sigprof_handler;
-  sa.sa_flags = SA_RESTART;
-  sigemptyset(&sa.sa_mask);
-  sigaction(SIGPROF, &sa, nullptr);
-}
-
-// Arms a CPU-time timer targeting `p`'s kernel thread. Registry mutex held.
-bool arm_timer_locked(ThreadProfile* p, int hz) {
-  if (p->timer_armed || p->tid == 0) return p->timer_armed;
-  struct sigevent sev;
-  std::memset(&sev, 0, sizeof sev);
-  sev.sigev_notify = SIGEV_THREAD_ID;
-  sev.sigev_signo = SIGPROF;
-  sev.sigev_notify_thread_id = static_cast<pid_t>(p->tid);
-  timer_t t;
-  if (timer_create(CLOCK_THREAD_CPUTIME_ID, &sev, &t) != 0) return false;
-  long ns = 1000000000L / (hz > 0 ? hz : 1);
-  struct itimerspec its;
-  its.it_interval.tv_sec = ns / 1000000000L;
-  its.it_interval.tv_nsec = ns % 1000000000L;
-  its.it_value = its.it_interval;
-  if (timer_settime(t, 0, &its, nullptr) != 0) {
-    timer_delete(t);
-    return false;
-  }
-  static_assert(sizeof(timer_t) <= sizeof(void*), "timer_t fits in void*");
-  std::memcpy(&p->timer, &t, sizeof t);
-  p->timer_armed = true;
-  return true;
-}
-
-void disarm_timer_locked(ThreadProfile* p) {
-  if (!p->timer_armed) return;
-  timer_t t;
-  std::memcpy(&t, &p->timer, sizeof t);
-  timer_delete(t);
-  p->timer = nullptr;
-  p->timer_armed = false;
-}
-
-std::int64_t current_tid() {
-  return static_cast<std::int64_t>(::syscall(SYS_gettid));
-}
-
-bool thread_timers_available() {
-  // Probe once: create-and-delete a timer for this thread.
-  static const bool ok = [] {
-    struct sigevent sev;
-    std::memset(&sev, 0, sizeof sev);
-    sev.sigev_notify = SIGEV_THREAD_ID;
-    sev.sigev_signo = SIGPROF;
-    sev.sigev_notify_thread_id = static_cast<pid_t>(current_tid());
-    timer_t t;
-    if (timer_create(CLOCK_THREAD_CPUTIME_ID, &sev, &t) != 0) return false;
-    timer_delete(t);
-    return true;
-  }();
-  return ok;
-}
-
-#else  // !HCPROF_HAVE_THREAD_TIMERS
-
-bool arm_timer_locked(ThreadProfile*, int) { return false; }
-void disarm_timer_locked(ThreadProfile*) {}
-void install_sigprof_handler() {}
-std::int64_t current_tid() { return 0; }
-bool thread_timers_available() { return false; }
-
-#endif
-
 // --- cadence thread ---------------------------------------------------------
 
 void run_gauges() {
@@ -163,53 +64,65 @@ void cadence_loop() {
   auto next_sample = clock::now();
   auto next_gauge = clock::now();
   for (;;) {
-    if (r.cadence_stop.load(std::memory_order_relaxed)) break;
-    bool thread_sampling;
-    int hz;
+    bool sampling;
+    std::chrono::nanoseconds period;
     {
       std::lock_guard<std::mutex> lk(r.mu);
-      thread_sampling = r.sampler_running && !r.signal_mode;
-      hz = r.hz;
+      sampling = r.sampler_running;
+      period = std::chrono::nanoseconds(1000000000LL / r.hz);
     }
     bool telem = telemetry();
-    if (!thread_sampling && !telem) {
+    if (!sampling && !telem) {
       // Exit if still nothing to do when rechecked under the spawn lock
       // (ensure_cadence_thread holds thread_mu while testing cadence_alive,
       // so deciding under the same lock avoids a missed respawn).
       std::lock_guard<std::mutex> lk(r.thread_mu);
       std::lock_guard<std::mutex> lk2(r.mu);
-      if (!(r.sampler_running && !r.signal_mode) && !telemetry()) {
+      if (!r.sampler_running && !telemetry()) {
         r.cadence_alive.store(false, std::memory_order_release);
         return;
       }
       continue;
     }
     auto now = clock::now();
-    if (thread_sampling && now >= next_sample) {
+    if (sampling && now >= next_sample) {
       sample_all();
-      next_sample = now + std::chrono::nanoseconds(1000000000LL /
-                                                   (hz > 0 ? hz : 1));
+      // Ticks fall due a period apart, so a late wake-up does not lower the
+      // rate; after a stall the schedule restarts instead of bursting.
+      next_sample += period;
+      if (next_sample <= now) next_sample = now + period;
     }
     if (telem && now >= next_gauge) {
       run_gauges();
       next_gauge = now + kGaugePeriod;
     }
-    auto wake = telem ? std::min(next_sample, next_gauge) : next_sample;
-    if (!thread_sampling) wake = next_gauge;
-    std::this_thread::sleep_until(std::min(wake, now + std::chrono::milliseconds(10)));
+    auto wake = now + kGaugePeriod;  // re-reads the gates at least this often
+    if (sampling) wake = std::min(wake, next_sample);
+    if (telem) wake = std::min(wake, next_gauge);
+    std::this_thread::sleep_until(wake);
   }
-  r.cadence_alive.store(false, std::memory_order_release);
 }
 
+// A bare pthread, not a std::thread: a std::thread frees its start state on
+// the new thread, and that first free hands the thread a malloc arena of its
+// own, which moves the heap of every worker started after it (BM_TaskSpawn
+// ran 2.5-4% slower beside a std::thread that only slept). The loop itself
+// allocates nothing while telemetry is off.
 void ensure_cadence_thread() {
   Registry& r = reg();
   std::lock_guard<std::mutex> lk(r.thread_mu);
   if (r.cadence_alive.load(std::memory_order_acquire)) return;
-  if (r.cadence.joinable()) r.cadence.join();  // reap a previous incarnation
-  r.cadence_stop.store(false, std::memory_order_relaxed);
   r.cadence_alive.store(true, std::memory_order_release);
-  r.cadence = std::thread(cadence_loop);
-  r.cadence.detach();
+  pthread_t t;
+  auto body = [](void*) -> void* {
+    cadence_loop();
+    return nullptr;
+  };
+  if (pthread_create(&t, nullptr, body, nullptr) != 0) {
+    r.cadence_alive.store(false, std::memory_order_release);
+    return;
+  }
+  pthread_detach(t);
 }
 
 }  // namespace
@@ -235,16 +148,12 @@ void register_thread(const std::string& name) {
     rename_thread(name);
     return;
   }
-  auto p = std::make_shared<ThreadProfile>();
+  auto p = std::make_unique<ThreadProfile>();
   p->name = name;
-  p->tid = current_tid();
-  Registry& r = reg();
-  {
-    std::lock_guard<std::mutex> lk(r.mu);
-    r.profiles.push_back(p);
-    if (r.sampler_running && r.signal_mode) arm_timer_locked(p.get(), r.hz);
-  }
   tl_profile = p.get();
+  Registry& r = reg();
+  std::lock_guard<std::mutex> lk(r.mu);
+  r.profiles.push_back(std::move(p));
 }
 
 void rename_thread(const std::string& name) {
@@ -261,12 +170,18 @@ void unregister_thread() {
   ThreadProfile* p = tl_profile;
   if (!p) return;
   enter_state(State::kUnattributed);  // a dead thread is in no state
-  {
-    std::lock_guard<std::mutex> lk(reg().mu);
-    disarm_timer_locked(p);
-    p->live.store(false, std::memory_order_release);
-  }
   tl_profile = nullptr;
+  Registry& r = reg();
+  std::lock_guard<std::mutex> lk(r.mu);  // no sample lands while we decide
+  bool sampled = false;
+  for (const auto& n : p->samples) {
+    sampled = sampled || n.load(std::memory_order_relaxed) != 0;
+  }
+  if (sampled) {
+    p->live.store(false, std::memory_order_release);
+    return;
+  }
+  std::erase_if(r.profiles, [p](const auto& q) { return q.get() == p; });
 }
 
 ThreadProfile* thread_profile() { return tl_profile; }
@@ -312,17 +227,10 @@ bool start(const Config& cfg) {
     std::lock_guard<std::mutex> lk(r.mu);
     if (r.sampler_running) return false;
     r.hz = cfg.hz > 0 ? cfg.hz : 997;
-    r.signal_mode = cfg.use_signal && thread_timers_available();
     r.sampler_running = true;
-    if (r.signal_mode) {
-      install_sigprof_handler();
-      for (auto& p : r.profiles)
-        if (p->live.load(std::memory_order_acquire))
-          arm_timer_locked(p.get(), r.hz);
-    }
   }
   set_enabled(true);
-  if (!r.signal_mode) ensure_cadence_thread();
+  ensure_cadence_thread();
   return true;
 }
 
@@ -330,11 +238,9 @@ void stop() {
   Registry& r = reg();
   set_enabled(false);
   std::lock_guard<std::mutex> lk(r.mu);
-  if (!r.sampler_running) return;
+  // The cadence loop notices and exits, or keeps running gauges while
+  // telemetry is on.
   r.sampler_running = false;
-  for (auto& p : r.profiles) disarm_timer_locked(p.get());
-  // Thread-mode cadence loop notices sampler_running=false and exits (or
-  // keeps running gauges if telemetry is still on).
 }
 
 bool running() {
@@ -372,11 +278,7 @@ void remove_sampler(std::uint64_t id) {
   // gauges_mu is held across invocation, so once we hold it no removed
   // callback can still be running.
   std::lock_guard<std::mutex> lk(r.gauges_mu);
-  r.gauges.erase(std::remove_if(r.gauges.begin(), r.gauges.end(),
-                                [&](const GaugeSampler& g) {
-                                  return g.id == id;
-                                }),
-                 r.gauges.end());
+  std::erase_if(r.gauges, [id](const GaugeSampler& g) { return g.id == id; });
 }
 
 // --- reporting ---------------------------------------------------------------
@@ -450,98 +352,8 @@ std::string collapsed_stacks() {
   return out;
 }
 
-namespace {
-void json_escape(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", unsigned{static_cast<unsigned char>(c)});
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-}  // namespace
-
-std::string speedscope_json() {
-  auto reps = report();
-  // Frame table: thread names first, then the state names.
-  std::vector<std::string> frames;
-  auto frame_index = [&](const std::string& name) {
-    for (std::size_t i = 0; i < frames.size(); ++i)
-      if (frames[i] == name) return i;
-    frames.push_back(name);
-    return frames.size() - 1;
-  };
-  struct Prof {
-    std::string name;
-    std::vector<std::array<std::size_t, 2>> stacks;
-    std::vector<std::uint64_t> weights;
-    std::uint64_t total = 0;
-  };
-  std::vector<Prof> profs;
-  for (const auto& tr : reps) {
-    if (!tr.total_samples()) continue;
-    Prof p;
-    p.name = tr.name;
-    std::size_t tf = frame_index(tr.name);
-    for (int i = 0; i < kNumStates; ++i) {
-      if (!tr.samples[i]) continue;
-      std::size_t sf = frame_index(state_name(static_cast<State>(i)));
-      p.stacks.push_back({tf, sf});
-      p.weights.push_back(tr.samples[i]);
-      p.total += tr.samples[i];
-    }
-    profs.push_back(std::move(p));
-  }
-  std::string out;
-  out += "{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\",";
-  out += "\"name\":\"hc-prof\",\"exporter\":\"hcmpi hc-prof\",";
-  out += "\"activeProfileIndex\":0,\"shared\":{\"frames\":[";
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    if (i) out += ",";
-    out += "{\"name\":\"";
-    json_escape(out, frames[i]);
-    out += "\"}";
-  }
-  out += "]},\"profiles\":[";
-  for (std::size_t i = 0; i < profs.size(); ++i) {
-    const Prof& p = profs[i];
-    if (i) out += ",";
-    out += "{\"type\":\"sampled\",\"name\":\"";
-    json_escape(out, p.name);
-    // Appended piece by piece: GCC 12 at -O3 warns (-Wrestrict) on
-    // `"literal" + std::to_string(...)`.
-    out += "\",\"unit\":\"none\",\"startValue\":0,\"endValue\":";
-    out += std::to_string(p.total);
-    out += ",\"samples\":[";
-    for (std::size_t j = 0; j < p.stacks.size(); ++j) {
-      if (j) out += ",";
-      out += "[";
-      out += std::to_string(p.stacks[j][0]);
-      out += ",";
-      out += std::to_string(p.stacks[j][1]);
-      out += "]";
-    }
-    out += "],\"weights\":[";
-    for (std::size_t j = 0; j < p.weights.size(); ++j) {
-      if (j) out += ",";
-      out += std::to_string(p.weights[j]);
-    }
-    out += "]}";
-  }
-  out += "]}";
-  return out;
-}
-
 bool write_report(const std::string& path) {
-  bool json = path.size() >= 5 &&
-              path.compare(path.size() - 5, 5, ".json") == 0;
-  std::string body = json ? speedscope_json() : collapsed_stacks();
+  const std::string body = collapsed_stacks();
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) return false;
   std::size_t n = std::fwrite(body.data(), 1, body.size(), f);
@@ -573,19 +385,14 @@ std::string summary() {
 void reset() {
   Registry& r = reg();
   std::lock_guard<std::mutex> lk(r.mu);
-  for (auto& p : r.profiles) disarm_timer_locked(p.get());
-  // Live threads keep their tl_profile pointer into a shared_ptr we still
-  // hold; mark them dead rather than freeing so the pointer stays valid.
-  std::vector<std::shared_ptr<ThreadProfile>> keep;
+  // Live threads keep their tl_profile pointer, so their profiles stay, with
+  // the counts zeroed; dead ones go.
+  std::erase_if(r.profiles, [](const auto& p) {
+    return !p->live.load(std::memory_order_acquire);
+  });
   for (auto& p : r.profiles) {
-    if (p->live.load(std::memory_order_acquire)) {
-      for (int i = 0; i < kNumStates; ++i) {
-        p->samples[i].store(0, std::memory_order_relaxed);
-      }
-      keep.push_back(p);
-    }
+    for (auto& n : p->samples) n.store(0, std::memory_order_relaxed);
   }
-  r.profiles.swap(keep);
 }
 
 }  // namespace prof

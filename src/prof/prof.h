@@ -9,27 +9,21 @@
 //      attempt, comm progress, idle) through a relaxed thread-local store.
 //      A state switch is two relaxed byte ops, never a clock read.
 //
-//   2. A *sampling profiler* (--prof-hz=N): per-thread POSIX CPU-time timers
-//      deliver SIGPROF to each registered thread; the handler attributes the
-//      sample to the thread's current state with one relaxed fetch_add (the
-//      only thing it does — async-signal-safe by construction). A portable
-//      wall-clock sampler thread is the fallback when per-thread timers are
-//      unavailable (--prof-mode=thread). Results export as collapsed stacks
-//      or speedscope JSON for flamegraphs.
+//   2. A *wall-clock sampling profiler* (--prof-hz=N): a cadence thread wakes
+//      N times a second and adds one sample to every live thread's current
+//      state, running or parked alike, so a parked worker shows as idle
+//      instead of taking no sample. Results export as collapsed stacks
+//      (`thread;state count`), which flamegraph.pl and flame-graph viewers
+//      import.
 //
-//   3. *Telemetry* (--prof-telemetry): a cadence thread samples registered
-//      gauge callbacks (deque depth, comm-queue depth), and hot paths feed
-//      steal-latency / task-granularity / comm-lifecycle / injection-to-
-//      completion histograms, which are bounded and lock-free.
+//   3. *Telemetry* (--prof-telemetry): the same cadence thread samples
+//      registered gauge callbacks (deque depth, comm-queue depth), and hot
+//      paths feed steal-latency / task-granularity / comm-lifecycle /
+//      injection-to-completion histograms, which are bounded and lock-free.
 //
 // A hot site carries one hook, a Probe: it loads the gate word once, and one
 // clock reading per edge serves the trace ring, the state switch and the
 // histogram alike.
-//
-// Signal-safety rules for the SIGPROF handler (see DESIGN.md §7): it may
-// only read the thread-local ThreadProfile pointer and perform relaxed
-// atomic loads/stores on it. No allocation, no locks, no clock reads, no
-// registry lookups.
 #pragma once
 
 #include <array>
@@ -81,22 +75,18 @@ void set_telemetry(bool on);
 struct ThreadProfile {
   std::string name;                  // "worker-0", "comm-worker", ...
   std::atomic<std::uint8_t> state{0};
-  // Written by the SIGPROF handler / sampler thread; read by exporters.
+  // Written by sample_all (the cadence thread); read by exporters.
   std::array<std::atomic<std::uint64_t>, kNumStates> samples{};
   std::atomic<bool> live{true};
-
-  // Sampler plumbing (guarded by the registry mutex).
-  std::int64_t tid = 0;       // kernel thread id (Linux) for SIGEV_THREAD_ID
-  void* timer = nullptr;      // timer_t when a per-thread timer is armed
-  bool timer_armed = false;
 };
 
 // Registers the calling thread under `name` (idempotent: re-registering
-// renames). While a signal-mode sampler is running, arms this thread's timer.
+// renames).
 void register_thread(const std::string& name);
 void rename_thread(const std::string& name);
-// Flushes the time accumulator, disarms the timer and marks the profile dead.
-// The profile's counters remain visible to report()/export until reset().
+// Marks the profile dead; its counters remain visible to report()/export
+// until reset(). A profile that took no sample is dropped at once, so
+// threads that come and go while the sampler is off leave nothing behind.
 void unregister_thread();
 // The calling thread's profile, or nullptr when unregistered.
 ThreadProfile* thread_profile();
@@ -188,20 +178,18 @@ class Probe {
 // --- sampling profiler -------------------------------------------------------
 
 struct Config {
-  int hz = 997;            // prime, so samples do not beat with periodic work
-  bool use_signal = true;  // per-thread CPU-time timers; false = wall-clock
-                           // sampler thread (portable, test-deterministic)
+  int hz = 997;  // prime, so samples do not beat with periodic work
 };
 
-// Starts sampling every registered thread. Returns false if already running.
-// Falls back to the sampler thread automatically when POSIX per-thread
-// timers are unavailable on this platform.
+// Starts the cadence thread sampling every live registered thread at
+// cfg.hz (997 when not positive), by wall clock. Returns false if already
+// running.
 bool start(const Config& cfg = {});
 void stop();
 bool running();
 
 // Takes one synchronous sample of every live registered thread (what the
-// sampler-thread mode does on each tick). Deterministic — tests drive it
+// cadence thread does on each tick). Deterministic — tests drive it
 // directly with a known call count.
 void sample_all();
 
@@ -233,22 +221,17 @@ std::vector<ThreadReport> report();
 void export_metrics(support::MetricsRegistry& reg);
 
 // "thread;state count\n" per (thread, state) with samples — feed directly to
-// flamegraph.pl or speedscope's collapsed-stack importer.
+// flamegraph.pl or a flame-graph viewer's collapsed-stack importer.
 std::string collapsed_stacks();
 
-// speedscope JSON file (https://www.speedscope.app/file-format-schema.json),
-// one sampled profile per thread.
-std::string speedscope_json();
-
-// Writes speedscope JSON when `path` ends in ".json", collapsed stacks
-// otherwise. False on I/O failure.
+// Writes collapsed_stacks() to `path`. False on I/O failure.
 bool write_report(const std::string& path);
 
 // Human-readable per-thread state breakdown (for stdout summaries).
 std::string summary();
 
-// Drops all profiles (live threads are unregistered implicitly — meant for
-// tests between scenarios, not while a sampler is running).
+// Drops the profiles of dead threads and zeroes the counts of live ones
+// (tests use it between scenarios).
 void reset();
 
 }  // namespace prof

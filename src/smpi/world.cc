@@ -17,10 +17,10 @@ namespace smpi {
 
 namespace {
 
-// Per-process World instance counter: distinguishes the UDS paths (and TCP
-// ports) of Worlds created back-to-back in one process. Under hcmpi_launch
-// every process creates its Worlds in the same order (SPMD), so the counters
-// agree across the job and sibling fabrics rendezvous on the same paths.
+// Per-process World instance counter: distinguishes the UDS paths of Worlds
+// created back-to-back in one process. Under hcmpi_launch every process
+// creates its Worlds in the same order (SPMD), so the counters agree across
+// the job and sibling fabrics rendezvous on the same paths.
 std::atomic<int> g_job{0};
 
 // Session directory for loopback fabrics when HCMPI_SESSION is not set: one
@@ -42,7 +42,6 @@ net::FabricOptions base_options(const net::ProcEnv& env, int job) {
   net::FabricOptions o;
   o.session = env.session.empty() ? default_session() : env.session;
   o.job = job;
-  o.tcp_base = env.tcp_base;
   o.heartbeat_ms = env.heartbeat_ms;
   o.death_timeout_ms = env.death_timeout_ms;
   o.connect_window_ms = env.connect_window_ms;

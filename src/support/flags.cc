@@ -6,8 +6,7 @@
 
 namespace support {
 
-Flags::Flags(int argc, char** argv, bool strict) {
-  (void)strict;
+Flags::Flags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--", 2) != 0) {

@@ -1,6 +1,7 @@
 // Minimal command-line flag parser for the bench and example binaries.
-// Syntax: --name=value or --name value; unknown flags are an error so typos
-// in experiment sweeps fail loudly instead of silently using defaults.
+// Syntax: --name=value, --name value, or a bare --name (= "true"). Every
+// flag is accepted: a getter returns its default for a flag that was never
+// given, so a misspelt flag is silently ignored.
 #pragma once
 
 #include <cstdint>
@@ -11,9 +12,8 @@ namespace support {
 
 class Flags {
  public:
-  // Parses argv; exits with a message on malformed input or unknown flags
-  // (unknown flags are only checked when `strict` is true).
-  Flags(int argc, char** argv, bool strict = false);
+  // Parses argv; exits with a message on an argument that is not a flag.
+  Flags(int argc, char** argv);
 
   bool has(const std::string& name) const { return values_.count(name) > 0; }
   std::string get(const std::string& name, const std::string& def) const;

@@ -12,12 +12,12 @@
 //   --fault-*              hc-fault injection knobs (see fault/fault.h)
 //   --transport=thread|socket  smpi wire transport (see net/boot.h): ranks
 //                          as threads with direct delivery, or real Unix
-//                          domain / TCP sockets between processes
-//   --prof-hz=<N>          sampling profiler at N Hz (997 when =0 given)
-//   --prof-out=<file>      profiler report: speedscope JSON (.json) or
-//                          collapsed stacks (anything else)
-//   --prof-mode=signal|thread  per-thread SIGPROF timers (default) or the
-//                          portable wall-clock sampler thread
+//                          domain sockets between processes
+//   --prof-hz=<N>          wall-clock sampling profiler at N Hz (997 when
+//                          =0 given): every registered thread, parked or
+//                          running, takes a sample of its current state
+//   --prof-out=<file>      profiler report as collapsed stacks
+//                          (`thread;state count`)
 //   --prof-telemetry       scheduler/comm telemetry histograms and cadence
 //                          gauges (independent of --prof-hz: costs a clock
 //                          read + lock-free, bounded histogram insert per
@@ -72,13 +72,11 @@ class Observe {
     int hz = int(flags.get_int("prof-hz", 0));
     telemetry_ = flags.get_bool("prof-telemetry", false);
     if (hz > 0 || !prof_out_.empty()) {
-      prof::Config cfg;
-      cfg.hz = hz > 0 ? hz : 997;
-      cfg.use_signal = flags.get("prof-mode", "signal") != "thread";
-      prof_started_ = prof::start(cfg);
-      // Deliberately does NOT imply --prof-telemetry: sampling alone stays
-      // inside the 5% overhead budget; telemetry's per-event clock reads and
-      // histogram inserts do not, so combining them is an explicit choice.
+      prof_started_ = prof::start({.hz = hz});  // 0 picks the default
+      // Deliberately does NOT imply --prof-telemetry: sampling alone pays
+      // only the state register's byte stores (~5% on empty tasks);
+      // telemetry adds a clock read and histogram insert per event, so
+      // combining them is an explicit choice.
     }
     if (telemetry_) prof::set_telemetry(true);
   }

@@ -71,7 +71,6 @@ const char* ev_name(Ev e) {
     case Ev::kDddfServed: return "dddf_served";
     case Ev::kDddfData: return "dddf_data";
     case Ev::kCheckRace: return "check_race";
-    case Ev::kCheckViolation: return "check_violation";
     case Ev::kFaultDrop: return "fault_drop";
     case Ev::kFaultDelay: return "fault_delay";
     case Ev::kFaultDup: return "fault_dup";
@@ -299,7 +298,6 @@ std::string chrome_trace_json() {
         case Ev::kDddfServed:
         case Ev::kDddfData:
         case Ev::kCheckRace:
-        case Ev::kCheckViolation:
         case Ev::kFaultDrop:
         case Ev::kFaultDelay:
         case Ev::kFaultDup:

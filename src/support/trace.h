@@ -59,8 +59,7 @@ enum class Ev : std::uint8_t {
 
   // hc-check diagnostics (src/check/): emitted on the flagging worker's
   // ring so a witness cross-references against the surrounding task spans.
-  kCheckRace,       // a = other strand id of the witness, b = address
-  kCheckViolation,  // a = violation class (misuse analyzer)
+  kCheckRace,  // a = other strand id of the witness, b = address
 
   // hc-fault injection & recovery (src/fault/, smpi wire, AM transport).
   kFaultDrop,       // a = dst rank, b = channel seq of the dropped attempt

@@ -3,6 +3,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <future>
 #include <numeric>
 #include <thread>
@@ -157,6 +158,42 @@ TEST(Hcmpi, CancelNeverMatchedRecv) {
       hcmpi::Status st;
       EXPECT_TRUE(ctx.test(r, &st));
       EXPECT_TRUE(st.cancelled);
+    }
+  });
+}
+
+TEST(Hcmpi, CancelRacingArrivalHasOneOutcome) {
+  // Each round, rank 0 sends on tag = round while rank 1 posts the matching
+  // irecv and cancels it at once, so the cancel races the arrival. Either
+  // the cancel wins and a second receive gets the value, or the first
+  // receive holds it, uncancelled. Rank 1 checks everything itself, so the
+  // test holds across processes too. Prints how many cancels won.
+  constexpr int kRounds = 500;
+  run_hcmpi(2, 2, [](hcmpi::Context& ctx) {
+    int won = 0;
+    for (int round = 0; round < kRounds; ++round) {
+      ctx.barrier();  // start both sides of the race together
+      if (ctx.rank() == 0) {
+        ctx.send(&round, sizeof round, 1, round);
+        continue;
+      }
+      int got = -1;
+      hcmpi::RequestHandle r = ctx.irecv(&got, sizeof got, 0, round);
+      const bool cancelled = ctx.cancel(r);
+      hcmpi::Status st;
+      ASSERT_TRUE(ctx.test(r, &st)) << "round " << round;
+      ASSERT_EQ(st.cancelled, cancelled) << "round " << round;
+      if (cancelled) {
+        ++won;
+        int again = -1;
+        ctx.recv(&again, sizeof again, 0, round);
+        ASSERT_EQ(again, round);
+      } else {
+        ASSERT_EQ(got, round);
+      }
+    }
+    if (ctx.rank() == 1) {
+      std::printf("cancel won %d of %d rounds\n", won, kRounds);
     }
   });
 }

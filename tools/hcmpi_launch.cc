@@ -1,7 +1,6 @@
 // hcmpi_launch: multi-process launcher for the socket transport.
 //
-//   hcmpi_launch -n <procs> [-rpp <ranks-per-proc>] [--tcp <base-port>]
-//                -- <program> [args...]
+//   hcmpi_launch -n <procs> [-rpp <ranks-per-proc>] -- <program> [args...]
 //
 // Forks <procs> copies of <program>, wiring each one's rank-block through
 // the environment (HCMPI_PROC / HCMPI_NPROCS / HCMPI_RANKS_PER_PROC /
@@ -30,7 +29,7 @@ namespace {
 
 void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s -n <procs> [-rpp <ranks-per-proc>] [--tcp <base>] "
+               "usage: %s -n <procs> [-rpp <ranks-per-proc>] "
                "-- <program> [args...]\n",
                argv0);
 }
@@ -46,7 +45,6 @@ void remove_session(const std::string& dir) {
 int main(int argc, char** argv) {
   int nprocs = 0;
   int rpp = 0;
-  int tcp_base = 0;
   int prog_at = -1;
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
@@ -57,8 +55,6 @@ int main(int argc, char** argv) {
       nprocs = std::atoi(argv[++i]);
     } else if ((a == "-rpp" || a == "--ranks-per-proc") && i + 1 < argc) {
       rpp = std::atoi(argv[++i]);
-    } else if (a == "--tcp" && i + 1 < argc) {
-      tcp_base = std::atoi(argv[++i]);
     } else if (a == "-h" || a == "--help") {
       usage(argv[0]);
       return 0;
@@ -109,9 +105,6 @@ int main(int argc, char** argv) {
         setenv("HCMPI_RANKS_PER_PROC", std::to_string(rpp).c_str(), 1);
       }
       setenv("HCMPI_SESSION", session.c_str(), 1);
-      if (tcp_base > 0) {
-        setenv("HCMPI_TCP_BASE", std::to_string(tcp_base).c_str(), 1);
-      }
       execvp(argv[prog_at], argv + prog_at);
       std::fprintf(stderr, "hcmpi_launch: exec %s: %s\n", argv[prog_at],
                    std::strerror(errno));
