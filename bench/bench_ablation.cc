@@ -9,9 +9,9 @@
 //      vs (F) rows isolated).
 //   C. UTS chunk-size / polling-interval sweep (the paper tuned -c/-i per
 //      system; this shows the sensitivity surface).
-//   D. Steal-batch policy on the real runtime — spawn-burst throughput and
-//      steal telemetry under --steal=one / half (DESIGN.md §8).
-#include <chrono>
+//
+// The steal-batch policy's ablation runs on the real runtime, as
+// bench_runtime_micro's BM_SpawnBurst/one and /half (DESIGN.md §8).
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -19,55 +19,16 @@
 #include "sim/uts_hybrid.h"
 #include "sim/uts_sim.h"
 
-namespace {
-
-// One spawn-burst measurement on the real runtime under `policy`: a single
-// root task spawns `tasks` fine-grained children, so every other worker's
-// work arrives by stealing — the path the batch size changes.
-void steal_policy_row(hc::StealPolicy policy, int workers, int tasks) {
-  hc::RuntimeConfig cfg;
-  cfg.num_workers = workers;
-  cfg.steal = policy;
-  double elapsed = 0;
-  std::uint64_t steals = 0, batches = 0, failed = 0;
-  {
-    hc::Runtime rt(cfg);
-    rt.launch([&] {
-      auto t0 = std::chrono::steady_clock::now();
-      hc::finish([&] {
-        for (int i = 0; i < tasks; ++i) {
-          hc::async([i] {
-            volatile long acc = 0;
-            for (int k = 0; k < 64; ++k) acc = acc + k * i;
-          });
-        }
-      });
-      elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              t0)
-                    .count();
-    });
-    steals = rt.total_steals();
-    batches = rt.total_steal_batches();
-    failed = rt.total_failed_steal_rounds();
-  }
-  double per_batch = batches > 0 ? double(steals) / double(batches) : 0;
-  std::printf("%10s %14.0f %10llu %10llu %10.2f %12llu\n",
-              hc::steal_policy_name(policy),
-              elapsed > 0 ? double(tasks) / elapsed : 0,
-              (unsigned long long)steals, (unsigned long long)batches,
-              per_batch, (unsigned long long)failed);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  benchutil::Session ses(argc, argv);  // --trace / --metrics / --prof-* / ...
+  support::Flags flags(argc, argv);
+  support::Observe obs(flags);  // --trace / --metrics / --prof-* / ...
+  flags.reject_unread();
   sim::MachineConfig jag = sim::jaguar();
   sim::MachineConfig dav = sim::davinci();
 
   benchutil::header("Ablation studies",
                     "A: dedicated comm worker; B: strict vs fuzzy phaser; "
-                    "C: UTS chunk/poll sensitivity; D: steal-batch policy.");
+                    "C: UTS chunk/poll sensitivity.");
 
   benchutil::section(
       "A. Dedicated comm worker (UTS T1, 64 nodes, Jaguar model): time (s)");
@@ -118,15 +79,6 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  benchutil::section(
-      "D. Steal-batch policy, real runtime (4 workers, 20000-task spawn "
-      "burst): tasks/s + steal telemetry");
-  std::printf("%10s %14s %10s %10s %10s %12s\n", "policy", "tasks/s", "steals",
-              "batches", "per-batch", "failedrnds");
-  for (hc::StealPolicy p : {hc::StealPolicy::kOne, hc::StealPolicy::kHalf}) {
-    steal_policy_row(p, /*workers=*/4, /*tasks=*/20000);
-  }
-
-  benchutil::run_traced_probe(ses.obs);
+  benchutil::run_traced_probe(obs);
   return 0;
 }

@@ -96,13 +96,14 @@ void run_tree(const sim::MachineConfig& m, const TreeCase& tc, int max_nodes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchutil::Session ses(argc, argv);  // --trace / --metrics / --prof-* / ...
-  support::Flags& flags = ses.flags;
+  support::Flags flags(argc, argv);
+  support::Observe obs(flags);  // --trace / --metrics / --prof-* / ...
   int max_nodes = int(flags.get_int("max_nodes", 1024));
   if (flags.get_bool("quick", false)) max_nodes = 256;
   // --gen_mx grows the geometric tree toward the paper's nodes-per-core
   // regime (e.g. 12 → ~70 M nodes; see EXPERIMENTS.md "known deviations").
   int gen_mx = int(flags.get_int("gen_mx", 0));
+  flags.reject_unread();
 
   benchutil::header("Figs. 16-21 — UTS strong scaling (Jaguar/MPICH2 model)",
                     "Same deterministic tree explored by the reference MPI "
@@ -115,6 +116,6 @@ int main(int argc, char** argv) {
   TreeCase t3{"T3 (binomial)", uts::t3(), 15, 8, 8, 4};
   run_tree(m, t1, max_nodes);
   run_tree(m, t3, max_nodes);
-  benchutil::run_traced_probe(ses.obs);
+  benchutil::run_traced_probe(obs);
   return 0;
 }

@@ -12,14 +12,15 @@
 #include "support/observe.h"
 
 int main(int argc, char** argv) {
-  benchutil::Session ses(argc, argv);  // --trace / --metrics / --prof-* / ...
-  support::Flags& flags = ses.flags;
+  support::Flags flags(argc, argv);
+  support::Observe obs(flags);  // --trace / --metrics / --prof-* / ...
   benchutil::header("Fig. 22 — HCMPI speedup vs MPI+OpenMP on UTS T1",
                     "Speedup = hybrid time / HCMPI time on the same tree.");
   sim::MachineConfig m = sim::jaguar();
   const std::vector<int> node_list = {4, 8, 16, 32, 64, 128, 256, 512, 1024};
   const std::vector<int> core_list = {2, 4, 8, 16};
   int max_nodes = int(flags.get_int("max_nodes", 1024));
+  flags.reject_unread();
 
   std::printf("%6s", "nodes");
   for (int c : core_list) std::printf("  %9s%d", "cores=", c);
@@ -43,6 +44,6 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  benchutil::run_traced_probe(ses.obs);
+  benchutil::run_traced_probe(obs);
   return 0;
 }

@@ -16,8 +16,10 @@
 #include "support/observe.h"
 
 int main(int argc, char** argv) {
-  benchutil::Session ses(argc, argv);  // --trace / --metrics / --prof-* / ...
-  support::Flags& flags = ses.flags;
+  support::Flags flags(argc, argv);
+  support::Observe obs(flags);  // --trace / --metrics / --prof-* / ...
+  const auto cells = std::uint64_t(flags.get_int("cells", 870000));
+  flags.reject_unread();
   benchutil::header(
       "Fig. 24 / Table IV — Smith-Waterman DDDF scaling (DAVinCI model)",
       "Times in seconds; banded-diagonal DDF_HOME distribution.");
@@ -35,7 +37,7 @@ int main(int argc, char** argv) {
       cfg.outer_rows = 100;
       cfg.outer_cols = 100;
       cfg.inner = 8;
-      cfg.cells_per_inner = std::uint64_t(flags.get_int("cells", 870000));
+      cfg.cells_per_inner = cells;
       cfg.nodes = n;
       cfg.cores = c;
       cfg.dist = sim::SwDist::kBandedDiagonal;
@@ -44,6 +46,6 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  benchutil::run_traced_probe(ses.obs);
+  benchutil::run_traced_probe(obs);
   return 0;
 }

@@ -2,6 +2,12 @@
 // costs of the building blocks the simulator's MachineConfig parameterizes.
 // Not a paper figure — this is the calibration/ablation companion that keeps
 // the model constants honest on whatever host runs the suite.
+// tools/perfbench_compare.py gates BM_SpawnBurst/one and /half,
+// BM_UtsWorkStealing and BM_SmpiPingPong/0, base against head.
+//
+// A case that runs runtime or rank threads times by wall clock
+// (UseRealTime): by default Google Benchmark divides by the main thread's
+// CPU time, which a main thread that waits for other threads hardly uses.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -9,6 +15,7 @@
 #include <vector>
 
 #include "apps/sw/sw.h"
+#include "apps/uts/uts.h"
 #include "core/api.h"
 #include "core/ddf.h"
 #include "core/phaser.h"
@@ -34,7 +41,57 @@ void BM_TaskSpawn(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 256);
 }
-BENCHMARK(BM_TaskSpawn);
+BENCHMARK(BM_TaskSpawn)->UseRealTime();
+
+// One root task spawns 20,000 fine-grained children on 4 workers, so the
+// other workers' work arrives by stealing: the path the steal-batch policy
+// changes (DESIGN.md §8). The counters are per iteration.
+void BM_SpawnBurst(benchmark::State& state, hc::StealPolicy policy) {
+  constexpr int kTasks = 20000;
+  hc::Runtime rt({.num_workers = 4, .steal = policy});
+  for (auto _ : state) {
+    rt.launch([&] {
+      hc::finish([&] {
+        for (int i = 0; i < kTasks; ++i) {
+          hc::async([i] {
+            volatile long acc = 0;
+            for (int k = 0; k < 64; ++k) acc = acc + k * i;
+          });
+        }
+      });
+    });
+  }
+  state.SetItemsProcessed(state.iterations() * kTasks);
+  const auto per_iteration = [](std::uint64_t n) {
+    return benchmark::Counter(double(n), benchmark::Counter::kAvgIterations);
+  };
+  state.counters["steals"] = per_iteration(rt.total_steals());
+  state.counters["batches"] = per_iteration(rt.total_steal_batches());
+  state.counters["failed_rounds"] =
+      per_iteration(rt.total_failed_steal_rounds());
+}
+BENCHMARK_CAPTURE(BM_SpawnBurst, one, hc::StealPolicy::kOne)->UseRealTime();
+BENCHMARK_CAPTURE(BM_SpawnBurst, half, hc::StealPolicy::kHalf)->UseRealTime();
+
+// examples/uts_workstealing's search on its default tree (geometric, b0=4,
+// gen_mx=8, seed 10: 241k nodes), chunk 32, on 4 workers.
+void BM_UtsWorkStealing(benchmark::State& state) {
+  uts::Params p;
+  p.gen_mx = 8;
+  p.root_seed = 10;
+  const std::uint64_t expected = uts::count_sequential(p).nodes;
+  hc::Runtime rt({.num_workers = 4});
+  for (auto _ : state) {
+    std::uint64_t nodes = 0;
+    rt.launch([&] { nodes = uts::count_workstealing(p, 32); });
+    if (nodes != expected) {
+      state.SkipWithError("node count differs from the sequential count");
+      break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * std::int64_t(expected));
+}
+BENCHMARK(BM_UtsWorkStealing)->UseRealTime();
 
 void BM_DdfPutGet(benchmark::State& state) {
   for (auto _ : state) {
@@ -63,7 +120,7 @@ void BM_DdtChain(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * depth);
 }
-BENCHMARK(BM_DdtChain)->Arg(64)->Arg(512);
+BENCHMARK(BM_DdtChain)->Arg(64)->Arg(512)->UseRealTime();
 
 void BM_DequePushPop(benchmark::State& state) {
   support::ChaseLevDeque<int*> dq;
@@ -116,7 +173,7 @@ void BM_SmpiPingPong(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 64 * 2);
 }
-BENCHMARK(BM_SmpiPingPong)->Arg(0)->Arg(1024);
+BENCHMARK(BM_SmpiPingPong)->Arg(0)->Arg(1024)->UseRealTime();
 
 // sw::compute_tile, the kernel inside every sw_dddf tile task, on perfbench's
 // 64×64 tile and a ragged 100×37 one. Sequences and boundaries are drawn at
@@ -153,6 +210,7 @@ int main(int argc, char** argv) {
   }
   support::Flags flags(int(ours.size()), ours.data());
   support::Observe obs(flags);
+  flags.reject_unread();
 
   int bench_argc = int(theirs.size());
   benchmark::Initialize(&bench_argc, theirs.data());

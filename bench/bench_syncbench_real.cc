@@ -128,9 +128,10 @@ double bench_accumulator(int ranks, int tasks, int iters) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchutil::Session ses(argc, argv);  // --trace / --metrics / --prof-* / ...
-  support::Flags& flags = ses.flags;
+  support::Flags flags(argc, argv);
+  support::Observe obs(flags);  // --trace / --metrics / --prof-* / ...
   const int iters = int(flags.get_int("iters", 200));
+  flags.reject_unread();
   benchutil::header(
       "Syncbench on real threads (host-relative calibration)",
       "smpi 'MPI everywhere' vs HCMPI comm-worker collectives vs "

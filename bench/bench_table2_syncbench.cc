@@ -8,7 +8,9 @@
 #include "sim/syncbench.h"
 
 int main(int argc, char** argv) {
-  benchutil::Session ses(argc, argv);  // --trace / --metrics / --prof-* / ...
+  support::Flags flags(argc, argv);
+  support::Observe obs(flags);  // --trace / --metrics / --prof-* / ...
+  flags.reject_unread();
   benchutil::header("Table II — EPCC Syncbench (MVAPICH2 on InfiniBand model)",
                     "Collective synchronization times in microseconds. "
                     "(S) strict barrier, (F) fuzzy barrier.");
@@ -36,6 +38,6 @@ int main(int argc, char** argv) {
     line("MPI+OMP Reduction", &sim::SyncbenchRow::hybrid_reduction_us);
     line("HCMPI Accumulator", &sim::SyncbenchRow::hcmpi_accumulator_us);
   }
-  benchutil::run_traced_probe(ses.obs);
+  benchutil::run_traced_probe(obs);
   return 0;
 }

@@ -14,8 +14,8 @@
 #include "support/observe.h"
 
 int main(int argc, char** argv) {
-  benchutil::Session ses(argc, argv);  // --trace / --metrics / --prof-* / ...
-  support::Flags& flags = ses.flags;
+  support::Flags flags(argc, argv);
+  support::Observe obs(flags);  // --trace / --metrics / --prof-* / ...
   benchutil::header("Table III — UTS overhead analysis (T1, Jaguar model)",
                     "Times are per-resource averages in seconds; Fails are "
                     "global failed steal requests.");
@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   const int node_list[] = {64, 256, 1024};
   const int core_list[] = {2, 4, 8, 16};
   int max_nodes = int(flags.get_int("max_nodes", 1024));
+  flags.reject_unread();
 
   for (int nodes : node_list) {
     if (nodes > max_nodes) break;
@@ -51,6 +52,6 @@ int main(int argc, char** argv) {
           (unsigned long long)r_hc.failed_steals);
     }
   }
-  benchutil::run_traced_probe(ses.obs);
+  benchutil::run_traced_probe(obs);
   return 0;
 }

@@ -2,18 +2,19 @@
 // prints a self-describing header (paper artifact id + what to compare) and
 // plain aligned columns so the output diffs cleanly across runs.
 //
-// The binaries also accept --trace=<file> / --metrics (support::Observe):
-// the simulator binaries model timing analytically, so when observability is
-// requested they additionally run a small *real* HCMPI workload
-// (run_traced_probe) that exercises every instrumented layer — worker task
-// spans, the Fig. 10 comm-task lifecycle, non-blocking collectives, and the
-// DDDF REGISTER/DATA protocol — to populate the trace and the registry.
+// Every main opens with a support::Flags and a support::Observe built from
+// it, as the examples do, so each binary takes the shared observability
+// flags (--trace=<file> / --metrics / --metrics-json / --fault-* / --prof-*)
+// and rejects the flags nobody reads (Flags::reject_unread). The simulator
+// binaries model timing analytically, so when observability is requested
+// they additionally run a small *real* HCMPI workload (run_traced_probe)
+// that exercises every instrumented layer — worker task spans, the Fig. 10
+// comm-task lifecycle, non-blocking collectives, and the DDDF REGISTER/DATA
+// protocol — to populate the trace and the registry.
 #pragma once
 
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <string>
 
 #include "core/api.h"
 #include "dddf/space.h"
@@ -22,33 +23,6 @@
 #include "support/observe.h"
 
 namespace benchutil {
-
-// One-liner wiring of the shared observability flag set: every bench binary
-// opens main with `benchutil::Session ses(argc, argv);` and gets the whole
-// table from observe.h (--trace / --metrics / --metrics-json / --fault-* /
-// --prof-*) parsed once, with artifacts written when `ses` leaves scope.
-// Binary-specific knobs read from `ses.flags`.
-//
-// Also applies --steal=one|half (the scheduler's steal-batch policy)
-// process-wide before any Runtime is built. It lives here rather than in
-// Observe because support/ cannot depend on core/.
-struct Session {
-  support::Flags flags;
-  support::Observe obs;
-  Session(int argc, char** argv) : flags(argc, argv), obs(flags) {
-    const std::string steal = flags.get("steal", "");
-    if (!steal.empty()) {
-      hc::StealPolicy p;
-      if (!hc::parse_steal_policy(steal, &p)) {
-        std::fprintf(stderr,
-                     "error: bad --steal=%s (want one|half)\n",
-                     steal.c_str());
-        std::exit(2);
-      }
-      hc::set_default_steal_policy(p);
-    }
-  }
-};
 
 inline void header(const char* artifact, const char* description) {
   std::printf("==============================================================\n");

@@ -116,6 +116,7 @@ int main(int argc, char** argv) {
   const int k = int(flags.get_int("k", 8));
   const int dims = int(flags.get_int("dims", 4));
   const int iters = int(flags.get_int("iters", 12));
+  flags.reject_unread();
 
   Dataset full = make_dataset(points, dims, k, 0xFACADE);
   std::vector<double> expected = kmeans_serial(full, k, iters);

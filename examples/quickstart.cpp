@@ -95,9 +95,12 @@ void demo_hcmpi(int ranks, int workers) {
 int main(int argc, char** argv) {
   support::Flags flags(argc, argv);
   support::Observe obs(flags);  // --trace=<file> / --metrics
+  const int ranks = int(flags.get_int("ranks", 4));
+  const int workers = int(flags.get_int("workers", 2));
+  flags.reject_unread();
   demo_tasks();
   demo_ddf();
-  demo_hcmpi(int(flags.get_int("ranks", 4)), int(flags.get_int("workers", 2)));
+  demo_hcmpi(ranks, workers);
   std::printf("quickstart: ok\n");
   return 0;
 }

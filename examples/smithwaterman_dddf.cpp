@@ -60,6 +60,7 @@ int main(int argc, char** argv) {
   const std::int64_t tile_flag = flags.get_int("tile", 64);
   const bool hier = flags.get_bool("hier", false);
   const std::int64_t inner_flag = flags.get_int("inner", 16);
+  flags.reject_unread();
   if (tile_flag < 1 || inner_flag < 1) {
     std::fprintf(stderr,
                  "smithwaterman_dddf: --tile and --inner must be at least 1\n");

@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   const int ranks = int(flags.get_int("ranks", 4));
   const std::size_t cells = std::size_t(flags.get_int("cells", 4096));
   const int iters = int(flags.get_int("iters", 200));
+  flags.reject_unread();
 
   smpi::World::run(ranks, [&](smpi::Comm& comm) {
     hcmpi::Context ctx(comm, {.num_workers = 2});

@@ -320,6 +320,7 @@ int main(int argc, char** argv) {
   uts::Params params = uts::t1();
   params.gen_mx = int(flags.get_int("gen_mx", 7));
   params.root_seed = std::uint32_t(flags.get_int("seed", 10));
+  flags.reject_unread();
 
   uts::CountResult seq = uts::count_sequential(params);
 

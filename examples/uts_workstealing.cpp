@@ -1,51 +1,15 @@
 // UTS with intra-node work stealing on the hc runtime (paper §IV-B, the
-// intra-node half of the HCMPI UTS design): each worker explores from a
-// thread-local stack and offloads to the work-stealing pool when it fills,
-// "generating work for intra-node peers". The count must match the
-// sequential traversal exactly — that's the whole point of UTS.
+// intra-node half of the HCMPI UTS design; the search is
+// uts::count_workstealing). The count must match the sequential traversal
+// exactly — that's the whole point of UTS.
 //
 // Run: ./uts_workstealing [--workers=4] [--b0=4] [--gen_mx=8] [--chunk=32]
-#include <atomic>
 #include <cstdio>
-#include <vector>
 
 #include "apps/uts/uts.h"
 #include "core/api.h"
 #include "support/flags.h"
 #include "support/observe.h"
-
-namespace {
-
-struct Search {
-  uts::Params params;
-  int chunk;
-  std::atomic<std::uint64_t> nodes{0};
-
-  // Explore from a local stack; spill half as a new task when it overflows.
-  void explore(std::vector<uts::Node> stack) {
-    std::uint64_t local = 0;
-    while (!stack.empty()) {
-      uts::Node n = stack.back();
-      stack.pop_back();
-      ++local;
-      int k = uts::num_children(n, params);
-      for (int i = 0; i < k; ++i) {
-        stack.push_back(uts::make_child(n, std::uint32_t(i)));
-      }
-      if (int(stack.size()) > 2 * chunk) {
-        // Offload the oldest chunk for idle peers to steal.
-        std::vector<uts::Node> spill(stack.begin(), stack.begin() + chunk);
-        stack.erase(stack.begin(), stack.begin() + chunk);
-        hc::async([this, spill = std::move(spill)]() mutable {
-          explore(std::move(spill));
-        });
-      }
-    }
-    nodes.fetch_add(local, std::memory_order_relaxed);
-  }
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   support::Flags flags(argc, argv);
@@ -56,16 +20,14 @@ int main(int argc, char** argv) {
   p.root_seed = std::uint32_t(flags.get_int("seed", 10));
   const int workers = int(flags.get_int("workers", 4));
   const int chunk = int(flags.get_int("chunk", 32));
+  flags.reject_unread();
 
   uts::CountResult seq = uts::count_sequential(p);
 
-  Search search{p, chunk, {}};
+  std::uint64_t par = 0;
   hc::Runtime rt({.num_workers = workers});
-  rt.launch([&] {
-    hc::finish([&] { search.explore({uts::make_root(p)}); });
-  });
+  rt.launch([&] { par = uts::count_workstealing(p, chunk); });
 
-  std::uint64_t par = search.nodes.load();
   std::printf("uts_workstealing: %s\n", p.name().c_str());
   std::printf("  sequential: %llu nodes, %llu leaves, depth %d\n",
               (unsigned long long)seq.nodes, (unsigned long long)seq.leaves,

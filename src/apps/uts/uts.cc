@@ -1,9 +1,12 @@
 #include "apps/uts/uts.h"
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
+
+#include "core/api.h"
 
 namespace uts {
 
@@ -117,6 +120,45 @@ CountResult count_sequential(const Params& p, std::uint64_t node_limit) {
     }
   }
   return r;
+}
+
+namespace {
+
+struct Search {
+  const Params& params;
+  const int chunk;
+  std::atomic<std::uint64_t> nodes{0};
+
+  // Explore from a local stack; spill the oldest chunk as a new task for
+  // idle peers to steal when the stack overflows twice the chunk.
+  void explore(std::vector<Node> stack) {
+    std::uint64_t local = 0;
+    while (!stack.empty()) {
+      Node n = stack.back();
+      stack.pop_back();
+      ++local;
+      int k = num_children(n, params);
+      for (int i = 0; i < k; ++i) {
+        stack.push_back(make_child(n, std::uint32_t(i)));
+      }
+      if (int(stack.size()) > 2 * chunk) {
+        std::vector<Node> spill(stack.begin(), stack.begin() + chunk);
+        stack.erase(stack.begin(), stack.begin() + chunk);
+        hc::async([this, spill = std::move(spill)]() mutable {
+          explore(std::move(spill));
+        });
+      }
+    }
+    nodes.fetch_add(local, std::memory_order_relaxed);
+  }
+};
+
+}  // namespace
+
+std::uint64_t count_workstealing(const Params& p, int chunk) {
+  Search search{p, chunk};
+  hc::finish([&] { search.explore({make_root(p)}); });
+  return search.nodes.load(std::memory_order_relaxed);
 }
 
 }  // namespace uts

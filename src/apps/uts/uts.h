@@ -82,4 +82,11 @@ struct CountResult {
 // runaway configurations; 0 = unlimited.
 CountResult count_sequential(const Params& p, std::uint64_t node_limit = 0);
 
+// The intra-node half of the paper's UTS design (§IV-B): each task explores
+// from a local stack and, once it holds more than 2·chunk nodes, offloads
+// the oldest chunk as a new task, "generating work for intra-node peers".
+// Call from a task of an hc::Runtime; returns the node count once every
+// spilled task has run.
+std::uint64_t count_workstealing(const Params& p, int chunk);
+
 }  // namespace uts

@@ -35,9 +35,8 @@ struct RuntimeConfig {
   int place_depth = 0;
   int place_fanout = 2;
   std::uint64_t seed = 0x9E3779B97F4A7C15ull;
-  // Steal-batch policy for every worker; kDefault defers to the process-wide
-  // default (the --steal= flag / set_default_steal_policy), normally half.
-  StealPolicy steal = StealPolicy::kDefault;
+  // Steal-batch policy for every worker (DESIGN.md §8).
+  StealPolicy steal = StealPolicy::kHalf;
 };
 
 class Runtime {
@@ -182,6 +181,14 @@ inline void park_idle(support::EventCount& ec, support::EventCount::Key key,
   p.instant(support::trace::Ev::kIdleEnd);
 }
 
+// One idle poll of a wait, which the profiler files as idle time. A probe
+// reads the gate word when it is built, so each poll opens its own: a
+// worker's scheduler loop is one wait_until call for the thread's life.
+inline bool idle_poll(support::SpinWindow& window) {
+  prof::Probe p(prof::State::kIdle);
+  return window.idle();
+}
+
 // The one wait loop (DESIGN.md §5): true once done() holds, false once
 // deadline_ns (now_ns clock; 0 = none) passes. A computation worker of
 // `help` runs tasks meanwhile. With nothing to run a thread polls for
@@ -208,7 +215,7 @@ bool wait_until(const char* what, Done&& done, support::EventCount& ec,
       window.reset();
       continue;
     }
-    if (!window.idle()) continue;
+    if (!idle_poll(window)) continue;
     if (deadline_ns != 0 && support::trace::now_ns() >= deadline_ns) {
       return false;
     }

@@ -9,43 +9,11 @@ namespace hc {
 void bind_worker_thread(Runtime* rt, Worker* w);
 
 namespace {
-// Process-wide default; kHalf unless --steal= / set_default_steal_policy
-// said otherwise. Read once per Worker construction, never on a hot path.
-std::atomic<StealPolicy> g_default_steal{StealPolicy::kHalf};
-
 using support::trace::Ev;
 }  // namespace
 
-void set_default_steal_policy(StealPolicy p) {
-  g_default_steal.store(p == StealPolicy::kDefault ? StealPolicy::kHalf : p,
-                        std::memory_order_relaxed);
-}
-
-StealPolicy default_steal_policy() {
-  return g_default_steal.load(std::memory_order_relaxed);
-}
-
-bool parse_steal_policy(std::string_view s, StealPolicy* out) {
-  if (s == "one") {
-    *out = StealPolicy::kOne;
-  } else if (s == "half") {
-    *out = StealPolicy::kHalf;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 const char* steal_policy_name(StealPolicy p) {
-  switch (p) {
-    case StealPolicy::kOne:
-      return "one";
-    case StealPolicy::kHalf:
-      return "half";
-    case StealPolicy::kDefault:
-      break;
-  }
-  return "default";
+  return p == StealPolicy::kOne ? "one" : "half";
 }
 
 Worker::Worker(Runtime& rt, int id, bool has_thread, StealPolicy policy)
@@ -55,8 +23,7 @@ Worker::Worker(Runtime& rt, int id, bool has_thread, StealPolicy policy)
       // Deterministic per-worker stream: the seed is a pure function of the
       // worker id, so victim order replays under fault::schedule() capture.
       victim_rng_(support::SplitMix64::mix(std::uint64_t(id) + 1)),
-      configured_(policy == StealPolicy::kDefault ? default_steal_policy()
-                                                  : policy),
+      configured_(policy),
       granularity_hist_(support::MetricsRegistry::global().histogram(
           "sched.task_granularity_ns")),
       steal_latency_hist_(support::MetricsRegistry::global().histogram(
@@ -104,12 +71,15 @@ Task* Worker::try_get_task() {
     if (auto t = deque_.pop()) return *t;
   }
 
+  // 2 and 3 are the search for work, one steal-attempt span to the profiler.
+  prof::Probe p(prof::State::kStealAttempt, &trace_ring_);
+
   // 2. Place queues along this worker's leaf-to-root path (HPT heuristics;
   //    a depth-0 tree makes this a single root-queue check). The root's
   //    queue also holds what external threads inject.
   if (Place* leaf = rt_.places()->leaf_for_worker(id_)) {
-    for (Place* p = leaf; p != nullptr; p = p->parent()) {
-      if (Task* t = p->try_pop()) return t;
+    for (Place* q = leaf; q != nullptr; q = q->parent()) {
+      if (Task* t = q->try_pop()) return t;
     }
   }
 
@@ -117,7 +87,6 @@ Task* Worker::try_get_task() {
   //    the policy (one / half).
   int slots = rt_.total_slots();
   if (slots > 1) {
-    prof::Probe p(prof::State::kStealAttempt, &trace_ring_);
     const std::uint64_t t0 = p.stamp();
     int start = int(victim_rng_.next_below(std::uint32_t(slots)));
     for (int k = 0; k < slots; ++k) {

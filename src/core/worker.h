@@ -8,13 +8,12 @@
 //
 // Hot-path design (DESIGN.md §8): task storage comes from a per-worker slab
 // pool (task_pool.h), and thieves take half a victim's pending tasks in one
-// steal_some() batch unless the steal policy (--steal=one|half) says one.
+// steal_some() batch unless the steal policy (RuntimeConfig::steal) says one.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <thread>
 
 #include "core/task.h"
@@ -29,20 +28,11 @@ namespace hc {
 
 class Runtime;
 
-// How a thief sizes its steal batches. kDefault defers to the process-wide
-// default (set_default_steal_policy, normally kHalf), so RuntimeConfig
-// callers and the --steal= flag compose without every construction site
-// naming a policy.
-enum class StealPolicy : std::uint8_t { kDefault, kOne, kHalf };
+// How a thief sizes its steal batches (RuntimeConfig::steal): one task, or
+// half of what the victim appears to hold (the default).
+enum class StealPolicy : std::uint8_t { kOne, kHalf };
 
-// Process-wide default used when RuntimeConfig leaves steal = kDefault.
-// Setting kDefault restores the built-in (kHalf).
-void set_default_steal_policy(StealPolicy p);
-StealPolicy default_steal_policy();
-
-// "one" | "half" (the --steal= flag values). False on anything else; *out
-// untouched.
-bool parse_steal_policy(std::string_view s, StealPolicy* out);
+// "one" | "half".
 const char* steal_policy_name(StealPolicy p);
 
 class Worker {
@@ -52,7 +42,7 @@ class Worker {
   static constexpr std::size_t kMaxStealBatch = 16;
 
   Worker(Runtime& rt, int id, bool has_thread,
-         StealPolicy policy = StealPolicy::kDefault);
+         StealPolicy policy = StealPolicy::kHalf);
   ~Worker();
 
   Worker(const Worker&) = delete;
@@ -118,7 +108,7 @@ class Worker {
     return failed_steal_rounds_.load(std::memory_order_relaxed);
   }
 
-  // The policy this worker was configured with (kDefault already resolved).
+  // The policy this worker was configured with.
   StealPolicy steal_policy() const { return configured_; }
 
   // Racy size estimate of the deque, for the telemetry depth gauge.
@@ -158,7 +148,7 @@ class Worker {
   support::ChaseLevDeque<Task*> deque_;
   TaskPool pool_;
   support::XorShift64 victim_rng_;  // deterministic stream, seeded from id
-  StealPolicy configured_;          // kOne or kHalf (resolved)
+  const StealPolicy configured_;
   std::jthread thread_;
 
   std::atomic<std::uint64_t> tasks_executed_{0};

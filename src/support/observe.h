@@ -1,10 +1,11 @@
 // RAII wiring of the shared observability flag set for every bench, example
 // and tool binary: construct one Observe from the parsed Flags at the top of
 // main, and at scope exit it writes the requested artifacts alongside the
-// binary's own output.
+// binary's own output. Its constructor reads every flag below, so a main
+// that then reads its own flags can call Flags::reject_unread().
 //
-// Registered flags (the single source of truth — bench_util.h's Session and
-// the examples all route through here):
+// Registered flags (the single source of truth — every bench and example
+// main routes through here):
 //
 //   --trace=<file>         Chrome-trace JSON of the run
 //   --metrics              human-readable metrics-registry dump on stdout
@@ -22,10 +23,6 @@
 //                          gauges (independent of --prof-hz: costs a clock
 //                          read + lock-free, bounded histogram insert per
 //                          coarse event)
-//   --steal=one|half       process-wide steal-batch policy (parsed by
-//                          benchutil::Session, not here — support/ cannot
-//                          depend on core/ — but recognized below so argv
-//                          partitioning keeps it away from other parsers)
 //
 // Tracing, profiling and telemetry are bits of one gate word that each hot
 // site tests once, through a prof::Probe.
@@ -51,7 +48,7 @@ inline bool is_observability_flag(const char* arg) {
   if (a.rfind("--", 0) != 0) return false;
   const std::string body = a.substr(2, a.find('=') - 2);
   return body == "trace" || body == "metrics" || body == "metrics-json" ||
-         body == "steal" || body == "transport" ||
+         body == "transport" ||
          body.rfind("fault-", 0) == 0 || body.rfind("prof-", 0) == 0;
 }
 

@@ -1,18 +1,16 @@
 // hc-prof tests: deterministic state attribution, the probe's gating, the
-// wall-clock sampler on parked threads, histogram merge across
-// workers/ranks, the canonical BENCH report round-trip and the bench_compare
-// verdicts, plus the trace.dropped overflow counter.
+// wall-clock sampler on parked and polling threads, histogram merge across
+// workers/ranks, plus the trace.dropped overflow counter.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench/harness.h"
 #include "core/runtime.h"
 #include "hcmpi/context.h"
 #include "prof/prof.h"
@@ -284,6 +282,38 @@ TEST(ProfState, ParkedCommWorkerIsIdle) {
   });
 }
 
+// A waiter's idle polls are idle time. Each wait_until call's deadline is
+// 150 us out, inside the 200 us spin window, so the waiter polls and never
+// parks.
+TEST(ProfState, PollingWaiterIsIdle) {
+  ProfGuard guard;
+  prof::reset();
+  prof::set_enabled(true);
+  std::atomic<bool> stop{false};
+  std::thread waiter([&] {
+    prof::register_thread("poller");
+    support::EventCount ec;
+    while (!stop.load(std::memory_order_relaxed)) {
+      hc::wait_until("poll", [] { return false; }, ec, nullptr,
+                     support::trace::now_ns() + 150'000);
+    }
+    prof::unregister_thread();
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  prof::ThreadReport r;
+  while ((r = live_report("poller")).total_samples() < 50 &&
+         std::chrono::steady_clock::now() < deadline) {
+    prof::sample_all();
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  stop.store(true);
+  waiter.join();
+  ASSERT_GE(r.total_samples(), 50u) << prof::summary();
+  EXPECT_LT(2 * r.samples[int(prof::State::kUnattributed)], r.total_samples())
+      << prof::summary();
+}
+
 // Threads that took no sample leave no profile behind: runtimes come and go
 // while the sampler is off, and the registry stays the same size.
 TEST(ProfState, ThreadWithoutSamplesLeavesNoProfile) {
@@ -330,176 +360,6 @@ TEST(Metrics, HistogramMergeAcrossWorkersAndRanks) {
   EXPECT_EQ(merged.counter_value("msgs"), 12u);
 }
 
-TEST(Metrics, DumpJsonParsesBack) {
-  support::MetricsRegistry reg;
-  reg.counter("a.count").add(3);
-  reg.gauge("b.depth").set(2.5);
-  for (int i = 1; i <= 100; ++i) reg.histogram("c.lat").add(i);
-
-  bench::Json root;
-  std::string err;
-  ASSERT_TRUE(bench::Json::parse(reg.dump_json(), &root, &err)) << err;
-  EXPECT_EQ(root.find("counters")->num_or("a.count", -1), 3);
-  EXPECT_EQ(root.find("gauges")->num_or("b.depth", -1), 2.5);
-  const bench::Json* hist = root.find("hists")->find("c.lat");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->num_or("count", -1), 100);
-  EXPECT_EQ(hist->num_or("sum", -1), 5050);
-}
-
-TEST(BenchJson, ParserRejectsMalformed) {
-  bench::Json out;
-  std::string err;
-  EXPECT_FALSE(bench::Json::parse("{\"a\": }", &out, &err));
-  EXPECT_FALSE(bench::Json::parse("[1, 2", &out, &err));
-  EXPECT_FALSE(bench::Json::parse("{\"a\": 1} trailing", &out, &err));
-  EXPECT_TRUE(bench::Json::parse(
-      "{\"s\": \"q\\\"\\n\\u0041\", \"n\": [1, -2.5e3, true, null]}", &out,
-      &err)) << err;
-  EXPECT_EQ(out.find("s")->str, "q\"\nA");
-  EXPECT_EQ(out.find("n")->arr[1].num, -2500);
-}
-
-TEST(BenchReport, SummarizeQuartiles) {
-  auto m = bench::summarize({5, 1, 3, 2, 4}, "x/s", true);
-  EXPECT_EQ(m.median, 3);
-  EXPECT_EQ(m.p25, 2);
-  EXPECT_EQ(m.p75, 4);
-  EXPECT_EQ(m.min, 1);
-  EXPECT_EQ(m.max, 5);
-  EXPECT_EQ(m.reps, 5);
-  EXPECT_EQ(m.iqr(), 2);
-}
-
-bench::Report make_report(double tasks_per_sec, double latency_ns) {
-  bench::Report r;
-  r.host = "test";
-  bench::BenchResult b;
-  b.name = "runtime_micro";
-  b.metrics["tasks_per_sec"] =
-      bench::summarize({tasks_per_sec, tasks_per_sec, tasks_per_sec},
-                       "tasks/s", /*higher_is_better=*/true);
-  auto lat = bench::summarize({latency_ns}, "ns", false);
-  b.metrics["steal_latency_ns"] = lat;
-  b.counters["hc.steals"] = 123;
-  r.benchmarks["runtime_micro"] = b;
-  return r;
-}
-
-TEST(BenchReport, JsonRoundTrip) {
-  bench::Report r = make_report(1e6, 250);
-  std::string text = bench::to_json(r);
-  bench::Report back;
-  std::string err;
-  ASSERT_TRUE(bench::from_json(text, &back, &err)) << err;
-  EXPECT_EQ(back.schema, "hcmpi-bench/1");
-  EXPECT_EQ(back.pr, bench::Report{}.pr);  // round-trips whatever the default is
-  EXPECT_EQ(back.host, "test");
-  ASSERT_EQ(back.benchmarks.count("runtime_micro"), 1u);
-  const auto& b = back.benchmarks.at("runtime_micro");
-  const auto& m = b.metrics.at("tasks_per_sec");
-  EXPECT_EQ(m.median, 1e6);
-  EXPECT_EQ(m.reps, 3);
-  EXPECT_EQ(m.unit, "tasks/s");
-  EXPECT_TRUE(m.higher_is_better);
-  EXPECT_FALSE(b.metrics.at("steal_latency_ns").higher_is_better);
-  EXPECT_EQ(b.counters.at("hc.steals"), 123);
-  // A second round trip is byte-identical (stable key order).
-  EXPECT_EQ(bench::to_json(back), text);
-}
-
-TEST(BenchReport, FileRoundTrip) {
-  bench::Report r = make_report(2e6, 100);
-  std::string path = testing::TempDir() + "/bench_roundtrip.json";
-  ASSERT_TRUE(bench::write_report(r, path));
-  bench::Report back;
-  std::string err;
-  ASSERT_TRUE(bench::read_report(path, &back, &err)) << err;
-  EXPECT_EQ(back.benchmarks.at("runtime_micro").metrics.at("tasks_per_sec")
-                .median,
-            2e6);
-  std::remove(path.c_str());
-}
-
-TEST(BenchCompare, IdenticalReportsPass) {
-  bench::Report r = make_report(1e6, 250);
-  auto res = bench::compare(r, r);
-  EXPECT_TRUE(res.ok());
-  EXPECT_EQ(res.regressions.size(), 0u);
-  EXPECT_FALSE(res.notes.empty());
-}
-
-TEST(BenchCompare, TenPercentSlowdownFails) {
-  bench::Report base = make_report(1e6, 250);
-  // 15% throughput drop: past the 10% gate on a higher-is-better metric.
-  bench::Report cand = make_report(0.85e6, 250);
-  auto res = bench::compare(base, cand);
-  ASSERT_EQ(res.regressions.size(), 1u);
-  EXPECT_EQ(res.regressions[0].bench, "runtime_micro");
-  EXPECT_EQ(res.regressions[0].metric, "tasks_per_sec");
-  EXPECT_NEAR(res.regressions[0].change, 0.15, 1e-9);
-}
-
-TEST(BenchCompare, LowerIsBetterDirection) {
-  bench::Report base = make_report(1e6, 250);
-  bench::Report faster = make_report(1e6, 200);   // latency down: fine
-  bench::Report slower = make_report(1e6, 300);   // latency up 20%: fails
-  EXPECT_TRUE(bench::compare(base, faster).ok());
-  auto res = bench::compare(base, slower);
-  ASSERT_EQ(res.regressions.size(), 1u);
-  EXPECT_EQ(res.regressions[0].metric, "steal_latency_ns");
-}
-
-TEST(BenchCompare, WithinThresholdPasses) {
-  bench::Report base = make_report(1e6, 250);
-  bench::Report cand = make_report(0.95e6, 260);  // -5% / +4%: inside gate
-  EXPECT_TRUE(bench::compare(base, cand).ok());
-}
-
-TEST(BenchCompare, MissingBenchmarkIsRegression) {
-  bench::Report base = make_report(1e6, 250);
-  bench::Report cand;  // candidate ran nothing
-  auto res = bench::compare(base, cand);
-  ASSERT_EQ(res.regressions.size(), 1u);
-  EXPECT_EQ(res.regressions[0].metric, "*");
-}
-
-TEST(BenchCompare, CustomThreshold) {
-  bench::Report base = make_report(1e6, 250);
-  bench::Report cand = make_report(0.85e6, 250);  // -15%
-  EXPECT_FALSE(bench::compare(base, cand, {.threshold = 0.10}).ok());
-  EXPECT_TRUE(bench::compare(base, cand, {.threshold = 0.20}).ok());
-}
-
-TEST(BenchHarness, RuntimeMicroSmoke) {
-  bench::RunOptions o;
-  o.warmup = 0;
-  o.reps = 2;
-  o.workers = 2;
-  o.micro_tasks = 500;
-  o.verbose = false;
-  bench::BenchResult b = bench::run_runtime_micro(o);
-  ASSERT_EQ(b.metrics.count("tasks_per_sec"), 1u);
-  const auto& m = b.metrics.at("tasks_per_sec");
-  EXPECT_GT(m.median, 0);
-  EXPECT_EQ(m.reps, 2);
-  // Telemetry counters captured through the registry delta.
-  EXPECT_GE(b.counters.count("sched.task_granularity_ns.count"), 1u);
-  EXPECT_GE(b.counters.at("sched.task_granularity_ns.count"), 1000.0);
-}
-
-TEST(BenchHarness, UtsVerifiesNodeCount) {
-  bench::RunOptions o;
-  o.warmup = 0;
-  o.reps = 1;
-  o.workers = 2;
-  o.uts_gen_mx = 4;  // tiny tree: this is a correctness smoke, not a bench
-  o.verbose = false;
-  bench::BenchResult b = bench::run_uts(o);
-  EXPECT_GT(b.metrics.at("nodes_per_sec").median, 0);
-  EXPECT_GT(b.counters.at("uts_tree_nodes"), 1.0);
-}
-
 // The ring overflow counter (trace.dropped): wrap a tiny ring and check the
 // drop count lands in the registry for --metrics / Chrome-trace metadata.
 TEST(TraceDropped, CountsRingOverwrites) {
@@ -528,6 +388,7 @@ TEST(Observe, ObservabilityFlagPartition) {
   EXPECT_TRUE(support::is_observability_flag("--fault-drop-rate=0.1"));
   EXPECT_FALSE(support::is_observability_flag("--benchmark_filter=BM_Task"));
   EXPECT_FALSE(support::is_observability_flag("--workers=4"));
+  EXPECT_FALSE(support::is_observability_flag("--steal=one"));
   EXPECT_FALSE(support::is_observability_flag("trace"));
 }
 

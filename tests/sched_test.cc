@@ -10,7 +10,9 @@
 
 #include "core/api.h"
 #include "core/task_pool.h"
+#include "prof/prof.h"
 #include "support/chase_lev_deque.h"
+#include "support/metrics.h"
 #include "support/rng.h"
 
 namespace {
@@ -186,13 +188,22 @@ TEST(StealSome, ConcurrentBatchesDeliverEveryItemExactlyOnce) {
 
 // --- steal policies on the real runtime -------------------------------------
 
+// Every worker takes the configured policy, every task runs once, and
+// telemetry records one task-granularity sample per task.
 void run_burst_under_policy(hc::StealPolicy policy) {
   constexpr int kTasks = 20000;
   hc::RuntimeConfig cfg;
   cfg.num_workers = 4;
   cfg.steal = policy;
   hc::Runtime rt(cfg);
+  for (int w = 0; w < rt.num_workers(); ++w) {
+    EXPECT_EQ(rt.worker(w).steal_policy(), policy);
+  }
+  auto& granularity = support::MetricsRegistry::global().histogram(
+      "sched.task_granularity_ns");
+  const std::uint64_t before = granularity.count();
   std::vector<std::atomic<int>> hits(kTasks);
+  prof::set_telemetry(true);
   rt.launch([&] {
     hc::finish([&] {
       for (int i = 0; i < kTasks; ++i) {
@@ -202,42 +213,21 @@ void run_burst_under_policy(hc::StealPolicy policy) {
       }
     });
   });
+  prof::set_telemetry(false);
   for (int i = 0; i < kTasks; ++i) {
     ASSERT_EQ(hits[std::size_t(i)].load(), 1)
         << "task " << i << " under policy " << hc::steal_policy_name(policy);
   }
   EXPECT_EQ(rt.total_tasks_executed(), std::uint64_t(kTasks) + 1);  // + root
+  EXPECT_EQ(granularity.count() - before, rt.total_tasks_executed());
 }
 
 TEST(StealPolicy, EveryTaskRunsExactlyOnceUnderOne) {
   run_burst_under_policy(hc::StealPolicy::kOne);
 }
 TEST(StealPolicy, EveryTaskRunsExactlyOnceUnderHalf) {
+  EXPECT_EQ(hc::RuntimeConfig{}.steal, hc::StealPolicy::kHalf);  // default
   run_burst_under_policy(hc::StealPolicy::kHalf);
-}
-
-TEST(StealPolicy, ParseAndNameRoundTrip) {
-  hc::StealPolicy p = hc::StealPolicy::kDefault;
-  EXPECT_TRUE(hc::parse_steal_policy("one", &p));
-  EXPECT_EQ(p, hc::StealPolicy::kOne);
-  EXPECT_TRUE(hc::parse_steal_policy("half", &p));
-  EXPECT_EQ(p, hc::StealPolicy::kHalf);
-  EXPECT_FALSE(hc::parse_steal_policy("adaptive", &p));  // deleted policy
-  EXPECT_FALSE(hc::parse_steal_policy("most", &p));
-  EXPECT_EQ(p, hc::StealPolicy::kHalf);  // untouched on failure
-  EXPECT_STREQ(hc::steal_policy_name(hc::StealPolicy::kHalf), "half");
-}
-
-TEST(StealPolicy, ConfigOverridesProcessDefault) {
-  hc::RuntimeConfig cfg;
-  cfg.num_workers = 1;
-  cfg.steal = hc::StealPolicy::kOne;
-  hc::Runtime rt(cfg);
-  EXPECT_EQ(rt.worker(0).steal_policy(), hc::StealPolicy::kOne);
-
-  hc::Runtime def({.num_workers = 1});
-  EXPECT_EQ(def.worker(0).steal_policy(), hc::default_steal_policy());
-  EXPECT_EQ(hc::default_steal_policy(), hc::StealPolicy::kHalf);
 }
 
 // --- idle behavior -----------------------------------------------------------

@@ -408,6 +408,16 @@ TEST(Flags, ParsesEqualsAndSpaceForms) {
   EXPECT_EQ(f.get_int("missing", 42), 42);
   EXPECT_EQ(f.get("alpha", ""), "3");
   EXPECT_DOUBLE_EQ(f.get_double("alpha", 0.0), 3.0);
+  f.reject_unread();  // every flag given was read: no exit
+}
+
+TEST(Flags, UnreadFlagIsAnError) {
+  const char* argv[] = {"prog", "--alpha=3", "--alpah=4", "--has"};
+  support::Flags f(4, const_cast<char**>(argv));
+  EXPECT_EQ(f.get_int("alpha", 0), 3);
+  EXPECT_TRUE(f.has("has"));
+  EXPECT_EXIT(f.reject_unread(), testing::ExitedWithCode(2),
+              "^flags: unknown flag --alpah\n$");
 }
 
 // --- Spin ------------------------------------------------------------------------

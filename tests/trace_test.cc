@@ -262,6 +262,25 @@ bool json_balanced(const std::string& s) {
   return depth == 0 && !in_str;
 }
 
+// The registry's JSON export is balanced, and each section holds exactly
+// the entries written.
+TEST(Metrics, DumpJsonParsesBack) {
+  support::MetricsRegistry reg;
+  reg.counter("a.count").add(3);
+  reg.gauge("b.depth").set(2.5);
+  for (int i = 1; i <= 100; ++i) reg.histogram("c.lat").add(i);
+
+  const std::string json = reg.dump_json();
+  auto has = [&](const char* fragment) {
+    return json.find(fragment) != std::string::npos;
+  };
+  EXPECT_TRUE(json_balanced(json)) << json;
+  EXPECT_TRUE(has("\"counters\": {\n    \"a.count\": 3\n  }")) << json;
+  EXPECT_TRUE(has("\"gauges\": {\n    \"b.depth\": 2.5\n  }")) << json;
+  EXPECT_TRUE(has("\"hists\": {\n    \"c.lat\": {\"count\": 100, ")) << json;
+  EXPECT_TRUE(has("\"sum\": 5050, ")) << json;
+}
+
 TEST(TraceExport, ChromeJsonContainsLifecycleSpans) {
   TraceGateGuard guard;
   trace::set_enabled(true);
