@@ -3,14 +3,19 @@
 // Not a paper figure — this is the calibration/ablation companion that keeps
 // the model constants honest on whatever host runs the suite.
 // tools/perfbench_compare.py gates BM_SpawnBurst/one and /half,
-// BM_UtsWorkStealing and BM_SmpiPingPong/0, base against head.
+// BM_UtsWorkStealing, BM_SmpiPingPong/0 and BM_SpaceTileGraph, base against
+// head.
 //
 // A case that runs runtime or rank threads times by wall clock
 // (UseRealTime): by default Google Benchmark divides by the main thread's
 // CPU time, which a main thread that waits for other threads hardly uses.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,6 +24,8 @@
 #include "core/api.h"
 #include "core/ddf.h"
 #include "core/phaser.h"
+#include "dddf/space.h"
+#include "hcmpi/context.h"
 #include "smpi/comm.h"
 #include "smpi/world.h"
 #include "support/chase_lev_deque.h"
@@ -196,6 +203,103 @@ void BM_SwTile(benchmark::State& state) {
       double(h * w), benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_SwTile)->Args({64, 64})->Args({100, 37});
+
+// perfbench's sw_dddf tile graph without the kernel: 2 ranks x 1 worker on
+// the thread transport, 128 x 144 tiles, tile (r, c) homed on rank
+// (r*144 + c) mod 2. Each tile is a DDT over its top, left and corner DDFs
+// that reads them, then puts a 256-byte bottom, a 256-byte right and a
+// 4-byte corner. An iteration is one fresh Space, ended by finalize; its
+// counters are rank 0's spawn loop (build_ms) and rank 0's ~Space
+// (teardown_ms).
+void BM_SpaceTileGraph(benchmark::State& state) {
+  constexpr std::size_t kRows = 128, kCols = 144, kEdge = 256;
+  enum Kind : dddf::Guid { kBottom, kRight, kCorner };
+  const auto guid = [](std::size_t r, std::size_t c, Kind k) {
+    return (dddf::Guid(r) * kCols + c) * 3 + k;
+  };
+  // A value's bytes: its guid, then a fill byte drawn from the guid.
+  const auto value = [](dddf::Guid g, std::size_t n) {
+    dddf::Bytes b(n, std::uint8_t(g * 7 + 1));
+    std::memcpy(b.data(), &g, std::min(n, sizeof g));
+    return b;
+  };
+  const auto intact = [](const dddf::Bytes& b, dddf::Guid g, std::size_t n) {
+    const std::size_t head = std::min(n, sizeof g);
+    const std::uint8_t fill = std::uint8_t(g * 7 + 1);
+    return b.size() == n && std::memcmp(b.data(), &g, head) == 0 &&
+           std::all_of(b.begin() + std::ptrdiff_t(head), b.end(),
+                       [fill](std::uint8_t x) { return x == fill; });
+  };
+  const auto ms_since = [](std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  double build_ms = 0, teardown_ms = 0;
+  std::atomic<bool> wrong{false};
+  for (auto _ : state) {
+    smpi::World::run(2, [&](smpi::Comm& comm) {
+      hcmpi::Context ctx(comm, {.num_workers = 1});
+      ctx.run([&] {
+        // Built and destroyed on the computation worker, as in perfbench.
+        auto space = std::make_unique<dddf::Space>(
+            ctx, dddf::SpaceConfig{
+                     .home = [](dddf::Guid g) { return int((g / 3) % 2); },
+                     .size = [](dddf::Guid g) {
+                       return g % 3 == kCorner ? sizeof(int) : kEdge;
+                     }});
+        dddf::Space& sp = *space;
+        hc::finish([&] {
+          const auto t0 = std::chrono::steady_clock::now();
+          std::vector<dddf::Guid> deps;
+          for (std::size_t r = 0; r < kRows; ++r) {
+            for (std::size_t c = 0; c < kCols; ++c) {
+              if (!sp.is_home(guid(r, c, kBottom))) continue;
+              deps.clear();
+              if (r > 0) deps.push_back(guid(r - 1, c, kBottom));
+              if (c > 0) deps.push_back(guid(r, c - 1, kRight));
+              if (r > 0 && c > 0) deps.push_back(guid(r - 1, c - 1, kCorner));
+              sp.async_await(deps, [&, r, c] {
+                bool ok = true;
+                if (r > 0) {
+                  const dddf::Guid g = guid(r - 1, c, kBottom);
+                  ok &= intact(sp.get(g), g, kEdge);
+                }
+                if (c > 0) {
+                  const dddf::Guid g = guid(r, c - 1, kRight);
+                  ok &= intact(sp.get(g), g, kEdge);
+                }
+                if (r > 0 && c > 0) {
+                  const dddf::Guid g = guid(r - 1, c - 1, kCorner);
+                  ok &= intact(sp.get(g), g, sizeof(int));
+                }
+                if (!ok) wrong.store(true, std::memory_order_relaxed);
+                sp.put(guid(r, c, kBottom), value(guid(r, c, kBottom), kEdge));
+                sp.put(guid(r, c, kRight), value(guid(r, c, kRight), kEdge));
+                sp.put(guid(r, c, kCorner),
+                       value(guid(r, c, kCorner), sizeof(int)));
+              });
+            }
+          }
+          if (ctx.rank() == 0) build_ms += ms_since(t0);
+        });
+        sp.finalize();
+        const auto t0 = std::chrono::steady_clock::now();
+        space.reset();
+        if (ctx.rank() == 0) teardown_ms += ms_since(t0);
+      });
+    });
+    if (wrong.load()) {
+      state.SkipWithError("a tile read a value that differs from the put");
+      break;
+    }
+  }
+  state.counters["build_ms"] =
+      benchmark::Counter(build_ms, benchmark::Counter::kAvgIterations);
+  state.counters["teardown_ms"] =
+      benchmark::Counter(teardown_ms, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SpaceTileGraph)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

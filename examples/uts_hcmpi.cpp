@@ -321,6 +321,10 @@ int main(int argc, char** argv) {
   params.gen_mx = int(flags.get_int("gen_mx", 7));
   params.root_seed = std::uint32_t(flags.get_int("seed", 10));
   flags.reject_unread();
+  if (chunk < 1) {
+    std::fprintf(stderr, "uts_hcmpi: --chunk must be at least 1\n");
+    return 2;
+  }
 
   uts::CountResult seq = uts::count_sequential(params);
 

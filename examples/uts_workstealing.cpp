@@ -21,6 +21,10 @@ int main(int argc, char** argv) {
   const int workers = int(flags.get_int("workers", 4));
   const int chunk = int(flags.get_int("chunk", 32));
   flags.reject_unread();
+  if (chunk < 1) {
+    std::fprintf(stderr, "uts_workstealing: --chunk must be at least 1\n");
+    return 2;
+  }
 
   uts::CountResult seq = uts::count_sequential(p);
 

@@ -1,6 +1,7 @@
 #include "dddf/space.h"
 
 #include <algorithm>
+#include <memory>
 #include <string>
 
 #include "check/check.h"
@@ -23,6 +24,10 @@ constexpr int kTagData = 1001;
 constexpr int kTagArrive = 1002;
 
 constexpr std::size_t kGuidsPerMessage = Space::kBatchCap / sizeof(Guid);
+
+// Multiplicative (Fibonacci) hashing: 2^64 / phi, odd, so distinct guids
+// have distinct hashes and every guid bit reaches the top bits.
+constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ull;
 
 // Messages are built with += throughout: GCC 12 at -O3 warns (-Wrestrict)
 // on `"literal" + std::string`.
@@ -64,16 +69,11 @@ Space::Space(hcmpi::Context& ctx, SpaceConfig cfg)
   // diagnosis. Reads only atomics — safe from the watchdog's thread.
   diag_id_ = fault::register_diagnostic(
       "dddf.space", [this](std::FILE* f) {
-        std::uint64_t entries;
-        {
-          std::lock_guard<std::mutex> lk(mu_);
-          entries = entries_.size();
-        }
         std::fprintf(
             f,
             "  dddf.space rank=%d entries=%llu gets_issued=%llu "
             "registrations=%llu data_sent=%llu finalized=%d\n",
-            rank(), (unsigned long long)entries,
+            rank(), (unsigned long long)entries(),
             (unsigned long long)remote_gets_issued(),
             (unsigned long long)registrations_received(),
             (unsigned long long)data_messages_sent(),
@@ -106,16 +106,97 @@ int Space::home_of(Guid guid) const {
   return home;
 }
 
-Space::Entry* Space::ensure(Guid guid) {
-  std::lock_guard<std::mutex> lk(mu_);
-  return &entries_.try_emplace(guid).first->second;
+Space::Table::~Table() {
+  std::size_t built = slabs_ ? std::size_t(next_ - slabs_->entries) : 0;
+  while (Slab* slab = slabs_) {
+    std::destroy_n(slab->entries, built);
+    slabs_ = slab->next;
+    delete slab;
+    built = kSlabEntries;
+  }
+  // A segment of depth d fills 2^(depth_ - d) consecutive directory slots.
+  for (std::size_t i = 0; i < dir_.size();) {
+    Segment* s = dir_[i];
+    i += std::size_t(1) << (depth_ - s->depth);
+    delete s;
+  }
 }
 
-hc::DdfBase* Space::handle(Guid guid) { return &ensure(guid)->ddf; }
+Space::Entry* Space::Table::ensure(Guid guid) {
+  const std::uint64_t hash = guid * kGolden;
+  std::lock_guard<support::SpinLock> lk(mu_);
+  if (dir_.empty()) {
+    dir_.reserve(1);  // so the push cannot throw and leak the segment
+    dir_.push_back(new Segment);
+  }
+  for (;;) {
+    Segment* s = segment_of(hash);
+    // Probe from the hash bits below the s->depth bits its guids share.
+    std::size_t i = std::size_t((hash << s->depth) >> (64 - kSegmentBits));
+    for (;; i = (i + 1) & (kSegmentSlots - 1)) {
+      const Slot& slot = s->slots[i];
+      if (slot.entry == nullptr) break;
+      if (slot.guid == guid) return slot.entry;
+    }
+    if (s->used < kSegmentFill) {
+      if (next_ == end_) {
+        slabs_ = new Slab(slabs_);
+        next_ = slabs_->entries;
+        end_ = next_ + kSlabEntries;
+      }
+      Entry* e = new (next_++) Entry;
+      s->slots[i] = {guid, e};
+      ++s->used;
+      size_.store(size_.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
+      return e;
+    }
+    split(s, hash);
+  }
+}
+
+void Space::Table::split(Segment* s, std::uint64_t hash) {
+  if (s->depth == depth_) {
+    // The directory doubles: each slot becomes two for the same segment.
+    std::vector<Segment*> dir(dir_.size() * 2);
+    for (std::size_t i = 0; i < dir_.size(); ++i) {
+      dir[2 * i] = dir[2 * i + 1] = dir_[i];
+    }
+    dir_.swap(dir);
+    ++depth_;
+  }
+  auto lo = std::make_unique<Segment>();
+  auto hi = std::make_unique<Segment>();
+  lo->depth = hi->depth = s->depth + 1;
+  const std::uint64_t bit = std::uint64_t(1) << (63 - s->depth);
+  for (const Slot& slot : s->slots) {
+    if (slot.entry == nullptr) continue;
+    const std::uint64_t h = slot.guid * kGolden;
+    Segment* to = (h & bit) != 0 ? hi.get() : lo.get();
+    std::size_t i = std::size_t((h << to->depth) >> (64 - kSegmentBits));
+    while (to->slots[i].entry != nullptr) i = (i + 1) & (kSegmentSlots - 1);
+    to->slots[i] = slot;
+    ++to->used;
+  }
+  // s filled 2^(depth_ - s->depth) directory slots from an aligned start;
+  // the lower half of them now leads to lo, the upper half to hi.
+  const std::size_t span = std::size_t(1) << (depth_ - s->depth);
+  const std::size_t first =
+      std::size_t(hash >> 1 >> (63 - depth_)) & ~(span - 1);
+  for (std::size_t i = 0; i < span / 2; ++i) {
+    dir_[first + i] = lo.get();
+    dir_[first + span / 2 + i] = hi.get();
+  }
+  lo.release();
+  hi.release();
+  delete s;
+}
+
+hc::DdfBase* Space::handle(Guid guid) { return &entries_.ensure(guid)->ddf; }
 
 hc::DdfBase* Space::request(Guid guid) {
   const int home = home_of(guid);
-  Entry* e = ensure(guid);
+  Entry* e = entries_.ensure(guid);
   if (home != rank() &&
       !e->fetch_requested.exchange(true, std::memory_order_acq_rel)) {
     if (hc::check::enabled() &&
@@ -148,7 +229,7 @@ void Space::put(Guid guid, Bytes data) {
         "hc-check: DDDF put after Space::finalize() — remote consumers can "
         "no longer be served");
   }
-  Entry* e = ensure(guid);
+  Entry* e = entries_.ensure(guid);
   e->ddf.put(std::move(data));  // releases local DDTs
   // Registrations that arrived before the put wait on the entry, which only
   // the poller touches, so the entry is queued for the poller to serve them.
@@ -160,7 +241,9 @@ void Space::put(Guid guid, Bytes data) {
   ctx_.wake_comm_worker();
 }
 
-const Bytes& Space::get(Guid guid) { return ensure(guid)->ddf.get(); }
+const Bytes& Space::get(Guid guid) {
+  return entries_.ensure(guid)->ddf.get();
+}
 
 void Space::serve(Guid guid, const Entry& e, int requester) {
   const Bytes& value = e.ddf.get();
@@ -174,7 +257,7 @@ void Space::serve(Guid guid, const Entry& e, int requester) {
 // each REGISTER once, here or at the put's flush, is at-most-once transfer.
 void Space::on_register(Guid guid, int requester) {
   regs_received_.fetch_add(1, std::memory_order_relaxed);
-  Entry* e = ensure(guid);
+  Entry* e = entries_.ensure(guid);
   if (e->ddf.satisfied()) {
     serve(guid, *e, requester);  // the "listener task" answering late arrivals
   } else {
@@ -183,7 +266,7 @@ void Space::on_register(Guid guid, int requester) {
 }
 
 void Space::on_data(Guid guid, Bytes payload) {
-  ensure(guid)->ddf.put(std::move(payload));  // wakes awaiting DDTs
+  entries_.ensure(guid)->ddf.put(std::move(payload));  // wakes awaiting DDTs
 }
 
 void Space::append_data(Guid guid, int to, const Bytes& payload) {

@@ -21,7 +21,28 @@
 //
 // Each guid has one Entry on each rank that touches it: the DDF, whether
 // this rank has asked the home for it, and the ranks whose REGISTER arrived
-// before the put. The protocol rides the HCMPI communication worker (paper
+// before the put. Entries live in the Space's flat guid table:
+//
+//   * slabs of kSlabEntries entries held by value, filled by a bump cursor
+//     and never moved, so the Entry* an outbox flush holds and the
+//     DdfBase* an AND frame holds stay valid until the Space goes;
+//   * an index of (guid, Entry*) slots, found by multiplicative hashing,
+//     split into segments of kSegmentSlots slots each probed linearly
+//     within itself. A directory of 2^depth segment pointers picks a
+//     segment by the hash's top bits (extendible hashing): a segment that
+//     fills splits into two by its next bit, and only the directory, an
+//     array of pointers, ever doubles.
+//
+// So the table allocates nothing before the first guid, then one block per
+// slab, per split or per directory doubling, never one per guid. Its blocks
+// come in a few fixed sizes, which malloc hands to the next Space instead
+// of growing the heap, as the ever larger arrays of a doubling index would.
+// Teardown destroys each slab's entries in order and frees slab by slab. A
+// lookup and an insert alike hold one support::SpinLock for the probe, and
+// an insert also for a slab bump and the slot's two stores (plus, once per
+// few hundred inserts, a split); no lookup is lock-free.
+//
+// The protocol rides the HCMPI communication worker (paper
 // §III-B), in thread and socket mode alike, and all of it runs in that
 // worker's poller, so the waiting lists need no locks. No protocol step is
 // a comm task: registrations and put flushes wait in an outbox that the
@@ -47,9 +68,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <mutex>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -182,15 +201,72 @@ class Space {
   std::uint64_t data_batches_sent() const {
     return data_batches_sent_.load(std::memory_order_relaxed);
   }
+  // Guids with an entry on this rank.
+  std::size_t entries() const { return entries_.size(); }
 
  private:
   // The one record of a guid on this rank, created on first use and kept
-  // until the Space goes, so an Entry* stays valid across rehashes.
+  // in place until the Space goes.
   struct Entry {
     hc::Ddf<Bytes> ddf;
     std::atomic<bool> fetch_requested{false};
     // Ranks whose REGISTER arrived before the put (home rank, poller only).
     std::vector<int> waiting;
+  };
+  // The flat guid table of the header comment.
+  class Table {
+   public:
+    static constexpr std::size_t kSlabEntries = 256;
+    static constexpr int kSegmentBits = 10;
+    static constexpr std::size_t kSegmentSlots = std::size_t{1}
+                                                 << kSegmentBits;
+    // A segment splits when an insert finds it this full, which keeps
+    // linear probes short: a miss scans about 8 slots at 3/4 load.
+    static constexpr std::size_t kSegmentFill = kSegmentSlots * 3 / 4;
+
+    Table() = default;
+    ~Table();
+    Table(const Table&) = delete;
+    Table& operator=(const Table&) = delete;
+
+    // The guid's entry, built on first use; callable from any thread.
+    Entry* ensure(Guid guid);
+    std::size_t size() const { return size_.load(std::memory_order_relaxed); }
+
+   private:
+    struct Slot {
+      Guid guid = 0;
+      Entry* entry = nullptr;  // null: the slot is free
+    };
+    struct Segment {
+      int depth = 0;  // its guids share this many top bits of their hash
+      std::size_t used = 0;
+      Slot slots[kSegmentSlots] = {};
+    };
+    // Entries are built in place as the bump cursor reaches them.
+    struct Slab {
+      explicit Slab(Slab* older) : next(older) {}
+      ~Slab() {}
+      Slab* next;
+      union {
+        Entry entries[kSlabEntries];
+      };
+    };
+
+    Segment* segment_of(std::uint64_t hash) const {
+      // Shifted twice so that depth 0 selects slot 0 without a branch.
+      return dir_[std::size_t(hash >> 1 >> (63 - depth_))];
+    }
+    // Splits the full segment s, which holds `hash`, by its next hash bit.
+    void split(Segment* s, std::uint64_t hash);
+
+    support::SpinLock mu_;
+    int depth_ = 0;               // the directory has 2^depth_ slots
+    std::vector<Segment*> dir_;   // empty until the first guid
+    Slab* slabs_ = nullptr;       // newest first; all but the newest full
+    Entry* next_ = nullptr;       // the bump cursor in the newest slab
+    Entry* end_ = nullptr;
+    std::atomic<std::size_t> size_{0};  // written under mu_
   };
   // Filled from any thread under out_mu_; the poller swaps it out whole.
   struct Outbox {
@@ -208,7 +284,6 @@ class Space {
 
   // home(guid), checked to name a rank of the world.
   int home_of(Guid guid) const;
-  Entry* ensure(Guid guid);
   // handle() + remote fetch kick-off.
   hc::DdfBase* request(Guid guid);
 
@@ -226,23 +301,24 @@ class Space {
 
   // Members are grouped by the threads that write them, each group on cache
   // lines of its own. The out_mu_ line is written by every put and every
-  // poller drain; sharing it with the entries_ header, which every get, put
-  // and DATA record reads, cost perfbench's sw_dddf about 5% of its rate on
+  // poller drain; sharing it with the guid table's header, which every get,
+  // put and DATA record reads, cost perfbench's sw_dddf 1-8% of its rate on
   // a 4-vCPU Xeon VM.
 
-  // Written at construction, under mu_, or once by finalize.
+  // Written at construction or once by finalize.
   hcmpi::Context& ctx_;
   SpaceConfig cfg_;
   const int rank_;
   const int size_;
   int diag_id_ = -1;  // fault::register_diagnostic handle
-  std::mutex mu_;
-  std::unordered_map<Guid, Entry> entries_;
   std::atomic<bool> finalized_{false};
   // Barrier-arrival flags (one-shot; finalize happens once per Space): set
   // by the poller when a peer's ARRIVE lands, read by a deadlined finalize
   // to name the ranks that never made it.
   std::vector<std::atomic<bool>> arrived_;
+
+  // Written by the first touch of every guid, from any thread.
+  alignas(64) Table entries_;
 
   // Handed from computation threads to the poller.
   alignas(64) support::SpinLock out_mu_;

@@ -8,6 +8,7 @@
 // The fault plane is disarmed and the thread transport forced: an armed
 // plane or the socket wire allocate for reasons of their own. The suite is
 // built only without hc-check, whose hooks allocate on every event.
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -243,28 +244,40 @@ TEST(Alloc, ServedDddfValueIsCopiedOnceIntoTheBatch) {
   EXPECT_EQ(g_watched.load(), 2u * kValues);
 }
 
-TEST(Alloc, SpaceEntryIsOneBlockPerGuid) {
-  // A guid's first handle() builds its one entry inside the guid table's
-  // node; only the table's bucket array, which grows geometrically, adds a
-  // few allocations over the whole count.
-  constexpr int kWarm = 1000;
-  constexpr int kGuids = 10000;
+TEST(Alloc, SpaceTableAllocatesPerSlab) {
+  // 3*10^4 guids in one Space, each touched by handle() and then put: the
+  // guid table allocates per slab, segment split or directory doubling,
+  // never per guid, so outside the payloads (one block of kPayload bytes
+  // per put) the whole run allocates fewer than one block per 64 guids.
+  constexpr int kGuids = 30000;
+  constexpr std::size_t kPayload = 24;
   fault::reset();
   net::set_mode(net::Mode::kThread);
   std::uint64_t start = 0, end = 0;
+  g_watched.store(0);
   smpi::World::run(1, [&](smpi::Comm& comm) {
     hcmpi::Context ctx(comm, {.num_workers = 1});
     dddf::Space space(ctx, {.home = [](dddf::Guid) { return 0; },
-                            .size = [](dddf::Guid) { return sizeof(int); }});
-    for (int i = 0; i < kWarm; ++i) space.handle(dddf::Guid(i));
+                            .size = [](dddf::Guid) { return kPayload; }});
+    g_watch_bytes.store(kPayload);
     start = g_news.load();
-    for (int i = kWarm; i < kWarm + kGuids; ++i) space.handle(dddf::Guid(i));
+    for (int i = 0; i < kGuids; ++i) {
+      const dddf::Guid g = dddf::Guid(i) * 3;
+      space.handle(g);
+      space.put_value(g, std::array<std::uint8_t, kPayload>{});
+    }
     end = g_news.load();
+    g_watch_bytes.store(0);
+    EXPECT_EQ(space.entries(), std::size_t(kGuids));
   });
-  const double per = double(end - start) / kGuids;
-  std::printf("%llu allocations over %d guids: %.4f per guid\n",
-              (unsigned long long)(end - start), kGuids, per);
-  EXPECT_LE(per, 1.01);
+  const std::uint64_t others = end - start - g_watched.load();
+  std::printf("%llu allocations besides %llu payloads over %d guids: %.4f "
+              "per guid\n",
+              (unsigned long long)others,
+              (unsigned long long)g_watched.load(), kGuids,
+              double(others) / kGuids);
+  EXPECT_EQ(g_watched.load(), std::uint64_t(kGuids));
+  EXPECT_LT(others, std::uint64_t(kGuids / 64));
 }
 
 TEST(Alloc, SwTileAllocatesOnlyItsOutputs) {

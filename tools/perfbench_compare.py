@@ -10,7 +10,8 @@ Each checkout needs bench_runtime_micro built in build-perf/ first:
   cmake --build <checkout>/build-perf --target bench_runtime_micro
 
 For pair i = 1, 2, runs the micro cases (BM_SpawnBurst/one and /half,
-BM_UtsWorkStealing, BM_SmpiPingPong/0; 3 repetitions) in the base checkout,
+BM_UtsWorkStealing, BM_SmpiPingPong/0, BM_SpaceTileGraph; 3 repetitions)
+in the base checkout,
 then in the head checkout. Exits 1 when
   - a case's median wall time per iteration is worse than base by more than
     35% in both pairs;
@@ -41,7 +42,8 @@ SECONDS = 10
 
 MICRO = os.path.join("build-perf", "bench", "bench_runtime_micro")
 MICRO_FILTER = (
-    "^(BM_SpawnBurst/(one|half)|BM_UtsWorkStealing|BM_SmpiPingPong/0)(/|$)")
+    "^(BM_SpawnBurst/(one|half)|BM_UtsWorkStealing|BM_SmpiPingPong/0"
+    "|BM_SpaceTileGraph)(/|$)")
 MICRO_BOUND = 0.35
 STEAL_BOUND = 0.10
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
