@@ -11,8 +11,9 @@
 //   * termination: Safra's token-ring detection (the paper's reference code
 //     uses token-passing termination), followed by a DONE ring.
 //
-// The total node count, summed over the wire, must equal the sequential
-// traversal — UTS's whole point — on every process of the job.
+// The total node count, summed over the wire, and the XOR of every node's
+// digest, XORed over the wire, must equal the sequential traversal's — UTS's
+// whole point — on every process of the job.
 // Run: ./uts_hcmpi [--ranks=4] [--workers=2] [--gen_mx=7] [--chunk=16]
 //      (or under tools/hcmpi_launch -n N, one rank block per process)
 #include <atomic>
@@ -51,6 +52,7 @@ struct RankState {
   std::vector<uts::Node> pool;
 
   std::atomic<std::uint64_t> explored{0};
+  std::atomic<std::uint64_t> digest{0};  // XOR of uts::node_digest
   std::atomic<bool> done{false};
   std::atomic<bool> thief_outstanding{false};
   std::atomic<int> active_workers{0};
@@ -191,18 +193,20 @@ void worker_loop(RankState& st) {
     st.pool.resize(st.pool.size() - take);
   }
   if (!batch.empty()) {
-    std::uint64_t n = 0;
+    std::uint64_t n = 0, digest = 0;
     std::vector<uts::Node> spawned;
     while (!batch.empty()) {
       uts::Node node = batch.back();
       batch.pop_back();
       ++n;
+      digest ^= uts::node_digest(node);
       int k = uts::num_children(node, st.params);
       for (int i = 0; i < k; ++i) {
         spawned.push_back(uts::make_child(node, std::uint32_t(i)));
       }
     }
     st.explored.fetch_add(n);
+    st.digest.fetch_xor(digest);
     if (!spawned.empty()) {
       std::lock_guard<std::mutex> lk(st.mu);
       st.pool.insert(st.pool.end(), spawned.begin(), spawned.end());
@@ -332,6 +336,7 @@ int main(int argc, char** argv) {
   std::vector<std::uint64_t> explored_per_rank(std::size_t(ranks), 0);
   std::vector<char> hosted(std::size_t(ranks), 0);
   std::atomic<std::uint64_t> total{0};
+  std::atomic<std::uint64_t> digest{0};
   smpi::World::run(ranks, [&](smpi::Comm& comm) {
     hcmpi::Context ctx(comm, {.num_workers = workers});
     RankState st(ctx, params, chunk);
@@ -357,16 +362,23 @@ int main(int argc, char** argv) {
       long mine = long(st.explored.load()), sum = 0;
       ctx.allreduce(&mine, &sum, 1, hcmpi::Datatype::kLong, hcmpi::Op::kSum);
       total.store(std::uint64_t(sum));
+      long my_digest = long(st.digest.load()), all_digest = 0;
+      ctx.allreduce(&my_digest, &all_digest, 1, hcmpi::Datatype::kLong,
+                    hcmpi::Op::kBxor);
+      digest.store(std::uint64_t(all_digest));
     });
     explored_per_rank[std::size_t(ctx.rank())] = st.explored.load();
     hosted[std::size_t(ctx.rank())] = 1;
   });
 
-  const bool match = total.load() == seq.nodes;
+  const bool match = total.load() == seq.nodes && digest.load() == seq.digest;
   std::printf("uts_hcmpi: %s\n", params.name().c_str());
-  std::printf("  sequential: %llu nodes\n", (unsigned long long)seq.nodes);
-  std::printf("  distributed: %llu nodes over %d ranks x %d workers -> %s\n",
-              (unsigned long long)total.load(), ranks, workers,
+  std::printf("  sequential: %llu nodes, digest %016llx\n",
+              (unsigned long long)seq.nodes, (unsigned long long)seq.digest);
+  std::printf("  distributed: %llu nodes, digest %016llx over %d ranks x %d "
+              "workers -> %s\n",
+              (unsigned long long)total.load(),
+              (unsigned long long)digest.load(), ranks, workers,
               match ? "MATCH" : "MISMATCH");
   for (int r = 0; r < ranks; ++r) {
     if (!hosted[std::size_t(r)]) continue;

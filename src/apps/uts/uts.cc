@@ -98,6 +98,12 @@ int num_children(const Node& n, const Params& p) {
   return children_from_uniform(node_uniform(n), n.depth, p);
 }
 
+std::uint64_t node_digest(const Node& n) {
+  std::uint64_t d = 0;
+  std::memcpy(&d, n.state.data(), sizeof d);
+  return d;
+}
+
 CountResult count_sequential(const Params& p, std::uint64_t node_limit) {
   CountResult r;
   std::vector<Node> stack;
@@ -106,6 +112,7 @@ CountResult count_sequential(const Params& p, std::uint64_t node_limit) {
     Node n = stack.back();
     stack.pop_back();
     ++r.nodes;
+    r.digest ^= node_digest(n);
     if (n.depth > r.max_depth) r.max_depth = n.depth;
     if (node_limit != 0 && r.nodes >= node_limit) {
       throw std::runtime_error("uts: node limit exceeded for " + p.name());

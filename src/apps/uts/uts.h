@@ -76,7 +76,13 @@ struct CountResult {
   std::uint64_t nodes = 0;
   std::uint64_t leaves = 0;
   int max_depth = 0;
+  std::uint64_t digest = 0;  // XOR of node_digest over every node
 };
+
+// A node's first 8 state bytes as one word. XORed over a traversal, it
+// checks that the same nodes were visited, not only as many, whatever the
+// order of the visit.
+std::uint64_t node_digest(const Node& n);
 
 // Sequential reference traversal (explicit stack). `node_limit` guards
 // runaway configurations; 0 = unlimited.

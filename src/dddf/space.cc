@@ -107,13 +107,6 @@ int Space::home_of(Guid guid) const {
 }
 
 Space::Table::~Table() {
-  std::size_t built = slabs_ ? std::size_t(next_ - slabs_->entries) : 0;
-  while (Slab* slab = slabs_) {
-    std::destroy_n(slab->entries, built);
-    slabs_ = slab->next;
-    delete slab;
-    built = kSlabEntries;
-  }
   // A segment of depth d fills 2^(depth_ - d) consecutive directory slots.
   for (std::size_t i = 0; i < dir_.size();) {
     Segment* s = dir_[i];
@@ -139,16 +132,14 @@ Space::Entry* Space::Table::ensure(Guid guid) {
       if (slot.guid == guid) return slot.entry;
     }
     if (s->used < kSegmentFill) {
-      if (next_ == end_) {
-        slabs_ = new Slab(slabs_);
-        next_ = slabs_->entries;
-        end_ = next_ + kSlabEntries;
+      const std::size_t n = size_.load(std::memory_order_relaxed);
+      if (n == slabs_.size() * kSlabEntries) {
+        slabs_.push_back(std::make_unique<Entry[]>(kSlabEntries));
       }
-      Entry* e = new (next_++) Entry;
+      Entry* e = &slabs_.back()[n % kSlabEntries];
       s->slots[i] = {guid, e};
       ++s->used;
-      size_.store(size_.load(std::memory_order_relaxed) + 1,
-                  std::memory_order_relaxed);
+      size_.store(n + 1, std::memory_order_relaxed);
       return e;
     }
     split(s, hash);

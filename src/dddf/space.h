@@ -23,7 +23,7 @@
 // this rank has asked the home for it, and the ranks whose REGISTER arrived
 // before the put. Entries live in the Space's flat guid table:
 //
-//   * slabs of kSlabEntries entries held by value, filled by a bump cursor
+//   * slabs of kSlabEntries entries held by value, handed out in order
 //     and never moved, so the Entry* an outbox flush holds and the
 //     DdfBase* an AND frame holds stay valid until the Space goes;
 //   * an index of (guid, Entry*) slots, found by multiplicative hashing,
@@ -37,10 +37,11 @@
 // slab, per split or per directory doubling, never one per guid. Its blocks
 // come in a few fixed sizes, which malloc hands to the next Space instead
 // of growing the heap, as the ever larger arrays of a doubling index would.
-// Teardown destroys each slab's entries in order and frees slab by slab. A
-// lookup and an insert alike hold one support::SpinLock for the probe, and
-// an insert also for a slab bump and the slot's two stores (plus, once per
-// few hundred inserts, a split); no lookup is lock-free.
+// Teardown destroys the entries and frees them slab by slab, with no node
+// list to walk. A lookup and an insert alike hold one support::SpinLock for
+// the probe, and an insert also for the slot's two stores (plus, once per
+// slab, its allocation and, once per few hundred inserts, a split); no
+// lookup is lock-free.
 //
 // The protocol rides the HCMPI communication worker (paper
 // §III-B), in thread and socket mode alike, and all of it runs in that
@@ -68,6 +69,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -243,16 +245,6 @@ class Space {
       std::size_t used = 0;
       Slot slots[kSegmentSlots] = {};
     };
-    // Entries are built in place as the bump cursor reaches them.
-    struct Slab {
-      explicit Slab(Slab* older) : next(older) {}
-      ~Slab() {}
-      Slab* next;
-      union {
-        Entry entries[kSlabEntries];
-      };
-    };
-
     Segment* segment_of(std::uint64_t hash) const {
       // Shifted twice so that depth 0 selects slot 0 without a branch.
       return dir_[std::size_t(hash >> 1 >> (63 - depth_))];
@@ -263,9 +255,9 @@ class Space {
     support::SpinLock mu_;
     int depth_ = 0;               // the directory has 2^depth_ slots
     std::vector<Segment*> dir_;   // empty until the first guid
-    Slab* slabs_ = nullptr;       // newest first; all but the newest full
-    Entry* next_ = nullptr;       // the bump cursor in the newest slab
-    Entry* end_ = nullptr;
+    // Entry i is slabs_[i / kSlabEntries][i % kSlabEntries]; the first
+    // size_ of them are handed out.
+    std::vector<std::unique_ptr<Entry[]>> slabs_;
     std::atomic<std::size_t> size_{0};  // written under mu_
   };
   // Filled from any thread under out_mu_; the poller swaps it out whole.

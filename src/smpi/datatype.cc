@@ -61,6 +61,12 @@ void combine(Op op, T* inout, const T* in, std::size_t n) {
         return;
       }
       break;
+    case Op::kBxor:
+      if constexpr (std::is_integral_v<T>) {
+        for (std::size_t i = 0; i < n; ++i) inout[i] = T(inout[i] ^ in[i]);
+        return;
+      }
+      break;
   }
   throw std::logic_error("smpi: logical/bitwise op on floating datatype");
 }

@@ -43,6 +43,7 @@ enum class Op : std::uint8_t {
   kLor,
   kBand,
   kBor,
+  kBxor,
 };
 
 // Element-wise in-place combine: inout[i] = op(inout[i], in[i]).

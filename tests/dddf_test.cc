@@ -232,6 +232,90 @@ TEST(Dddf, EarlyAndLateRegistrationsOfOneGuid) {
   });
 }
 
+TEST(Dddf, ConcurrentHandlesAgree) {
+  // Rank 0 homes every guid. Its workers resolve overlapping ranges of
+  // guids [0, 4 * kStep) upwards through handle(), starting once rank 1's
+  // first REGISTER reached its poller, while that poller inserts the guids
+  // of rank 1's REGISTERs, [2 * kStep, 6 * kStep) from the top down. Rank
+  // 1's workers await overlapping ranges of those. Rank 0's 6 * kStep guids
+  // split index segments and double the directory several times while
+  // other threads insert. Every thread must see one DdfBase* per guid, and
+  // each rank must hold one entry per distinct guid. Asserted on the rank
+  // that holds the table, so it also holds under hcmpi_launch.
+  constexpr int kTasks = 3;
+  constexpr dddf::Guid kStep = 2500;
+  constexpr dddf::Guid kRemote = 2 * kStep;  // rank 1 awaits from here on
+  const auto value = [](dddf::Guid g) { return g * 7 + 1; };
+  smpi::World::run(2, [&](smpi::Comm& comm) {
+    hcmpi::Context ctx(comm, {.num_workers = kTasks});
+    dddf::Space space(
+        ctx, {.home = [](dddf::Guid) { return 0; },
+              .size = [](dddf::Guid) { return sizeof(dddf::Guid); }});
+    // Task t covers guids [base + t * kStep, base + (t + 2) * kStep).
+    const dddf::Guid base = ctx.rank() == 0 ? 0 : kRemote;
+    std::vector<std::vector<hc::DdfBase*>> seen(kTasks);
+    std::atomic<int> wrong{0};
+    ctx.run([&] {
+      ctx.barrier();
+      hc::finish([&] {
+        for (int t = 0; t < kTasks; ++t) {
+          hc::async([&, t] {
+            const dddf::Guid lo = base + dddf::Guid(t) * kStep;
+            std::vector<hc::DdfBase*>& mine = seen[std::size_t(t)];
+            mine.resize(2 * kStep);
+            if (ctx.rank() == 0) {
+              while (space.registrations_received() == 0) {
+                std::this_thread::yield();
+              }
+              for (dddf::Guid i = 0; i < 2 * kStep; ++i) {
+                mine[i] = space.handle(lo + i);
+              }
+              return;
+            }
+            for (dddf::Guid i = 2 * kStep; i-- > 0;) {
+              const dddf::Guid g = lo + i;
+              space.async_await({g}, [&, g] {
+                if (space.get_value<dddf::Guid>(g) != value(g)) wrong++;
+              });
+              mine[i] = space.handle(g);
+            }
+          });
+        }
+      });
+      if (ctx.rank() == 0) {
+        hc::finish([&] {
+          for (int t = 0; t < kTasks; ++t) {
+            hc::async([&, t] {
+              const dddf::Guid end = kRemote + 4 * kStep;
+              for (dddf::Guid g = kRemote + dddf::Guid(t); g < end;
+                   g += kTasks) {
+                space.put_value<dddf::Guid>(g, value(g));
+              }
+            });
+          }
+        });
+      }
+      space.finalize();
+      int disagree = 0;
+      for (int t = 0; t < kTasks; ++t) {
+        const dddf::Guid lo = base + dddf::Guid(t) * kStep;
+        for (dddf::Guid i = 0; i < 2 * kStep; ++i) {
+          if (seen[std::size_t(t)][i] != space.handle(lo + i)) ++disagree;
+        }
+      }
+      EXPECT_EQ(disagree, 0);
+      EXPECT_EQ(wrong.load(), 0);
+      if (ctx.rank() == 0) {
+        EXPECT_EQ(space.entries(), std::size_t(6 * kStep));
+        EXPECT_EQ(space.registrations_received(), 4 * kStep);
+      } else {
+        EXPECT_EQ(space.entries(), std::size_t(4 * kStep));
+        EXPECT_EQ(space.remote_gets_issued(), 4 * kStep);
+      }
+    });
+  });
+}
+
 TEST(Dddf, ChainAcrossRanks) {
   // guid k is produced by rank k%R from guid k-1's value: a distributed
   // dataflow pipeline with no explicit messages.

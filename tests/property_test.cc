@@ -98,6 +98,7 @@ TEST_P(SmpiReduceMatrix, AllreduceMatchesLocalFold) {
         case smpi::Op::kLor: return (a != 0) || (b != 0);
         case smpi::Op::kBand: return a & b;
         case smpi::Op::kBor: return a | b;
+        case smpi::Op::kBxor: return a ^ b;
       }
       return 0;
     };
@@ -140,7 +141,8 @@ INSTANTIATE_TEST_SUITE_P(
         ReduceCase{smpi::Op::kLand, smpi::Datatype::kInt},
         ReduceCase{smpi::Op::kLor, smpi::Datatype::kLong},
         ReduceCase{smpi::Op::kBand, smpi::Datatype::kInt},
-        ReduceCase{smpi::Op::kBor, smpi::Datatype::kLong}));
+        ReduceCase{smpi::Op::kBor, smpi::Datatype::kLong},
+        ReduceCase{smpi::Op::kBxor, smpi::Datatype::kLong}));
 
 // --- UTS simulators conserve the tree across the whole config grid ----------------
 
